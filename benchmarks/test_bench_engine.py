@@ -39,5 +39,4 @@ def test_warm_cache_run(benchmark, tmp_path):
 
     runner = BatchRunner(jobs=1, cache=cache)
     results = benchmark(runner.run, tasks)
-    assert runner.last_cache_hits == len(tasks)
-    assert all(r.cached for r in results)
+    assert sum(r.cached for r in results) == len(tasks)

@@ -392,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="files or directories to scan (default: src tools benchmarks)",
+        help="files or directories to scan (default: src benchmarks)",
     )
     p_lint.add_argument(
         "--json", action="store_true",
@@ -868,7 +868,7 @@ def _cmd_serve(args) -> int:
         idle_ttl=args.idle_ttl,
     )
 
-    # The runner's worker pools outlive individual batches, so a bare
+    # The runner's worker pool outlives individual batches, so a bare
     # SIGTERM (docker stop, subprocess .terminate()) must run the close
     # path below — otherwise worker processes are orphaned holding each
     # other's inherited pipe ends and linger long after the server.  A

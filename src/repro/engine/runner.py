@@ -9,45 +9,43 @@ Design points:
   result the moment it *and all its predecessors* are done, instead of
   holding finished work hostage to the slowest task in a batch.
   :meth:`BatchRunner.run` is simply the fully-collected stream.
-* **Persistent workers** — the process pool and the watchdog workers
-  belong to the runner, not to a single call: successive ``run`` /
-  ``run_stream`` calls reuse warm workers instead of re-spawning
-  interpreters per wave.  Use the runner as a context manager (or call
-  :meth:`close`) to release them deterministically.
+* **One worker pool** — every parallel stream runs on the runner's
+  pool of dedicated worker processes, each served over its own pipe and
+  leased to one stream at a time.  The workers belong to the runner,
+  not to a single call: successive ``run`` / ``run_stream`` calls reuse
+  warm workers instead of re-spawning interpreters per wave.  Use the
+  runner as a context manager (or call :meth:`close`) to release them
+  deterministically.
 * **Cache first** — tasks whose content digest is already in the
   :class:`~repro.engine.cache.ResultCache` never reach the pool.
 * **Graceful failure** — a solver error becomes a ``TaskResult`` with
   ``ok=False`` (annotated with digest and seed by the worker); it never
-  kills the batch.  A worker OOM-killed under the plain process pool
-  breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`;
-  affected tasks get positioned failure results and the pool is rebuilt
-  for the remaining tasks instead of aborting the batch.
-* **Hard timeouts** — when any task carries a deadline, execution
-  switches to a *watchdog pool*: dedicated worker processes served
-  over pipes, with the parent terminating and replacing any worker that
-  overruns its task's budget (``SIGALRM`` cannot interrupt a solver
-  stuck inside HiGHS C code; killing the process can).  The task gets a
-  ``timeout`` result and the batch continues on a fresh worker.
+  kills the batch.  A worker killed out-of-band (OOM killer, segfault)
+  costs only the task it held: that task gets a positioned failure
+  result, a fresh worker replaces the dead one, and every other task
+  runs as usual.
+* **Hard timeouts** — the parent knows which task each worker holds
+  and since when, and terminates and replaces any worker that overruns
+  its task's budget (``SIGALRM`` cannot interrupt a solver stuck inside
+  HiGHS C code; killing the process can).  The task gets a ``timeout``
+  result and the batch continues on a fresh worker.
 * **Sticky structure affinity** — tasks tagged with a
   ``structure_group`` (sweep chains of near-identical LP/MILP
-  structures) are parent-dispatched through the watchdog pool with the
-  group bound to one worker process, so a resolve-capable solver
-  backend's resident-model cache serves the whole warm-start chain;
-  affinity is best-effort and never idles a worker while work is
-  queued.
-* **Clean interrupt** — ``KeyboardInterrupt`` cancels outstanding
-  futures and shuts the pool down without waiting, so Ctrl-C leaves no
-  orphaned workers behind.
+  structures) are dispatched with the group bound to one worker
+  process, so a resolve-capable solver backend's resident-model cache
+  serves the whole warm-start chain; affinity is best-effort and never
+  idles a worker while work is queued.
+* **Clean interrupt** — Ctrl-C while a stream waits on its workers
+  kills every worker still holding one of its tasks before the
+  ``KeyboardInterrupt`` propagates, so no worker grinds on behind it;
+  idle workers go back to the pool, and :meth:`close` stops them.
 
 Thread safety: concurrent ``run_stream`` calls from different threads
-(the serving front end does this) share the persistent pools safely —
-the executor is guarded by a lock and watchdog workers are leased from
-a shared idle list.  Every stream carries its own :class:`StreamStats`
-(exposed as ``ResultStream.stats``), so concurrent streams never trample
-each other's counters; the runner-level ``last_cache_hits`` /
-``last_watchdog_kills`` attributes are kept as a convenience mirror of
-the *most recently finished* stream and are only meaningful when calls
-do not overlap.
+(the serving front end does this) share the pool safely — workers are
+leased from a shared idle list under a condition variable, so a worker
+serves one stream at a time.  Every stream carries its own
+:class:`StreamStats` (exposed as ``ResultStream.stats``), so concurrent
+streams never trample each other's counters.
 """
 
 from __future__ import annotations
@@ -56,12 +54,6 @@ import multiprocessing as mp
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as connection_wait
 from typing import Deque, Iterator, Sequence
@@ -134,10 +126,9 @@ class StreamStats:
     """Counters and timing state owned by one ``run_stream`` call.
 
     Each stream gets its own instance, so two streams running
-    concurrently (the serving front end) cannot trample each other the
-    way the old runner-level ``last_cache_hits`` attribute could.  All
-    methods are called from the single thread consuming the stream;
-    only the process-wide gauges they update are shared.
+    concurrently (the serving front end) cannot trample each other's
+    counts.  All methods are called from the single thread consuming
+    the stream; only the process-wide gauges they update are shared.
     """
 
     def __init__(self, total: int) -> None:
@@ -347,7 +338,7 @@ class BatchRunner:
     Worker processes persist across calls; use the runner as a context
     manager (``with BatchRunner(jobs=4) as runner: ...``) or call
     :meth:`close` to release them.  A closed runner may be reused — the
-    pools are rebuilt lazily on the next call.
+    pool is rebuilt lazily on the next call.
     """
 
     def __init__(
@@ -370,13 +361,6 @@ class BatchRunner:
         self.cache = cache
         self.watchdog_grace = watchdog_grace
         self.idle_ttl = idle_ttl
-        #: Number of cache hits in the most recent :meth:`run`.
-        self.last_cache_hits = 0
-        #: Workers killed by the watchdog in the most recent :meth:`run`.
-        self.last_watchdog_kills = 0
-        # Persistent plain process pool (no-timeout parallel path).
-        self._executor: ProcessPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
         # Persistent watchdog workers, leased to streams: ``_wd_idle``
         # holds workers not currently owned by any stream, ``_wd_total``
         # counts every live worker (idle + leased) against ``jobs``,
@@ -408,14 +392,13 @@ class BatchRunner:
         self.close()
 
     def close(self) -> None:
-        """Release the persistent worker pools.
+        """Release the persistent worker pool.
 
         Safe to call repeatedly; the runner remains usable afterwards
-        (pools are rebuilt lazily).  Workers leased to a stream that is
+        (the pool is rebuilt lazily).  Workers leased to a stream that is
         still being consumed are released by that stream's own cleanup,
         not here.
         """
-        self._discard_executor(cancel=True)
         with self._wd_cond:
             reaper_stop, self._reaper_stop = self._reaper_stop, None
             self._reaper = None
@@ -548,8 +531,7 @@ class BatchRunner:
         that closes the stream).
 
         The returned :class:`ResultStream` exposes per-stream counters
-        as ``.stats`` — the race-free replacement for the runner-level
-        ``last_cache_hits`` / ``last_watchdog_kills`` mirrors.
+        as ``.stats``.
 
         ``priority`` shapes watchdog-pool lease arbitration only:
         streams at :data:`PRIORITY_URGENT` (or above) take freed workers
@@ -582,10 +564,6 @@ class BatchRunner:
             work.append((pos, task))
             stats.enqueue(pos)
 
-        # Convenience mirror for non-overlapping callers; updated again
-        # when the stream finishes (dup reuse also counts as a hit).
-        self.last_cache_hits = stats.cache_hits
-        self.last_watchdog_kills = 0
         stats.open()
         return ResultStream(
             self._stream(
@@ -645,8 +623,6 @@ class BatchRunner:
         finally:
             events.close()
             stats.finish()
-            self.last_cache_hits = stats.cache_hits
-            self.last_watchdog_kills = stats.watchdog_kills
         if emitted < total:
             # A strategy lost track of a task (worker died in a way no
             # handler caught): positioned failures, never dropped slots.
@@ -718,32 +694,25 @@ class BatchRunner:
     ):
         """Choose the execution strategy for one stream.
 
-        Deadlined tasks need the watchdog even when only one is pending
-        — the serial path's SIGALRM cannot interrupt a solver stuck in
-        native code.  The deadline scan covers the *full* task list, not
-        just the initial work queue: a duplicate position carries its
-        own ``timeout`` (the digest excludes it), and its failure retry
-        joins the queue mid-stream — it must find the watchdog already
-        in charge, or its hard deadline would silently degrade to a soft
-        one.  Structure-grouped tasks (sweep chains) also take the
-        watchdog pool when parallel: its parent-mediated dispatch is
-        what makes sticky worker affinity possible, so a chain of
-        same-structure solves lands on one worker process and a
-        resolve-capable backend re-solves warm (the plain
-        ``ProcessPoolExecutor`` offers no control over which worker
-        picks a task).  jobs=1 stays in-process by contract (solvers
-        registered only in this process), so its timeouts remain soft.
-        A single pending task without any deadline in play also runs
-        in-process: spinning up a pool for it would cost more than the
-        solve.
+        jobs=1 stays in-process by contract (solvers registered only in
+        this process), so its timeouts remain soft.  Otherwise a stream
+        runs on the worker pool when it has more than one pending task
+        — or any deadline at all: the serial path's SIGALRM cannot
+        interrupt a solver stuck in native code, so even one deadlined
+        task needs a worker the parent can kill.  The deadline scan
+        covers the *full* task list, not just the initial work queue: a
+        duplicate position carries its own ``timeout`` (the digest
+        excludes it), and its failure retry joins the queue mid-stream
+        — it must find the pool already in charge, or its hard deadline
+        would silently degrade to a soft one.  A single pending task
+        without any deadline runs in-process: leasing a worker for it
+        would cost more than the solve.
         """
-        if self.jobs > 1 and any(t.timeout is not None for t in tasks):
+        if self.jobs > 1 and (
+            len(work) > 1 or any(t.timeout is not None for t in tasks)
+        ):
             return self._stream_watchdog
-        if self.jobs == 1 or len(work) <= 1:
-            return self._stream_serial
-        if any(t.structure_group is not None for t in tasks):
-            return self._stream_watchdog
-        return self._stream_parallel
+        return self._stream_serial
 
     @staticmethod
     def _sealed(
@@ -783,110 +752,7 @@ class BatchRunner:
             yield pos, execute_task(task)
 
     # ------------------------------------------------------------------
-    # Plain process pool (parallel, no deadlines)
-    # ------------------------------------------------------------------
-    def _stream_parallel(
-        self,
-        work: Deque[tuple[int, Task]],
-        stats: StreamStats,
-        priority: int = 0,
-    ) -> Iterator[tuple[int, TaskResult]]:
-        """Fan tasks out to the persistent pool, yielding completions.
-
-        A worker killed out-of-band (OOM killer, segfault) breaks the
-        whole executor: every outstanding future raises
-        ``BrokenProcessPool``.  Each such future becomes a positioned
-        failure result, the dead pool is discarded, and tasks still in
-        ``work`` continue on a lazily-rebuilt replacement — the batch
-        survives the crash.
-        """
-        futures: dict = {}
-        requeued: set[int] = set()
-        try:
-            while work or futures:
-                while work and len(futures) < self.jobs:
-                    pos, task = work.popleft()
-                    stats.dispatch(pos)
-                    futures[self._submit(task)] = (pos, task)
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    pos, task = futures.pop(future)
-                    try:
-                        result = future.result()
-                    except (CancelledError, Exception) as exc:
-                        # e.g. BrokenProcessPool, or CancelledError (a
-                        # BaseException) when another stream's rebuild or
-                        # close() cancelled our queued futures on the
-                        # shared pool.  execute_task captures solver
-                        # errors into the record, so an exception here is
-                        # pool infrastructure failing.
-                        if future.cancelled() and pos not in requeued:
-                            # The task never ran — a neighbour stream's
-                            # crash cancelled it on the shared pool.  One
-                            # resubmission on the rebuilt pool, not a
-                            # spurious failure in this stream's results.
-                            requeued.add(pos)
-                            work.append((pos, task))
-                            stats.enqueue(pos)
-                            continue
-                        result = failure_result(
-                            task,
-                            "worker pool broke under this task "
-                            f"({type(exc).__name__}: {exc})",
-                            0.0,
-                        )
-                        self._discard_executor(cancel=False)
-                    yield pos, result
-        except GeneratorExit:
-            # Abandoned stream (e.g. a disconnected client): drop queued
-            # tasks; the pool itself stays warm for the next call.
-            for future in futures:
-                future.cancel()
-            raise
-        except KeyboardInterrupt:
-            # shutdown(wait=False) would let in-flight tasks run to
-            # completion, leaving workers grinding long after Ctrl-C —
-            # kill them outright so nothing is orphaned.
-            for future in futures:
-                future.cancel()
-            self._kill_executor()
-            raise
-
-    def _submit(self, task: Task):
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-            try:
-                return self._executor.submit(execute_task, task)
-            except Exception:
-                # The shared pool broke between completions (another
-                # thread's future may already have reported it); rebuild
-                # once and resubmit.
-                executor, self._executor = self._executor, None
-                executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-                return self._executor.submit(execute_task, task)
-
-    def _discard_executor(self, *, cancel: bool) -> None:
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=cancel)
-
-    def _kill_executor(self) -> None:
-        """Terminate pool worker processes outright (Ctrl-C path)."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            processes = list(getattr(executor, "_processes", {}).values())
-            executor.shutdown(wait=False, cancel_futures=True)
-            for process in processes:
-                process.terminate()
-            for process in processes:
-                process.join(timeout=1.0)
-
-    # ------------------------------------------------------------------
-    # Watchdog pool (used whenever any pending task carries a timeout)
+    # Worker pool (jobs > 1: several pending tasks, or any deadline)
     # ------------------------------------------------------------------
     def _stream_watchdog(
         self,
@@ -1060,30 +926,37 @@ class BatchRunner:
         work-conserving: affinity shapes placement, it never idles a
         worker while work is queued.  Callers must ensure ``work`` is
         non-empty.
+
+        With no group bound yet nothing can match (1) and the head
+        always qualifies for (2), so the head is taken without scanning
+        the queue — dispatch stays O(1) for ungrouped streams.
         """
-        own: int | None = None
-        fallback: int | None = None
-        for i, (_, task) in enumerate(work):
-            group = task.structure_group
-            if group is None:
-                if fallback is None:
+        if not affinity:
+            pos, task = work.popleft()
+        else:
+            own: int | None = None
+            fallback: int | None = None
+            for i, (_, task) in enumerate(work):
+                group = task.structure_group
+                if group is None:
+                    if fallback is None:
+                        fallback = i
+                    continue
+                bound = affinity.get(group)
+                if bound is worker:
+                    own = i
+                    break
+                if fallback is None and not any(w is bound for w in held):
                     fallback = i
-                continue
-            bound = affinity.get(group)
-            if bound is worker:
-                own = i
-                break
-            if fallback is None and not any(w is bound for w in held):
-                fallback = i
-        if own is None and fallback is None:
-            # Queue head belongs to another held worker's group — a
-            # work-conserving steal that rebinds the group.
-            _STEALS.inc()
-        index = own if own is not None else (
-            fallback if fallback is not None else 0
-        )
-        pos, task = work[index]
-        del work[index]
+            if own is None and fallback is None:
+                # Queue head belongs to another held worker's group — a
+                # work-conserving steal that rebinds the group.
+                _STEALS.inc()
+            index = own if own is not None else (
+                fallback if fallback is not None else 0
+            )
+            pos, task = work[index]
+            del work[index]
         group = task.structure_group
         if group is not None:
             affinity[group] = worker

@@ -6,13 +6,11 @@ from .feasibility import (
     extract_assignment,
     is_feasible_slot_set,
 )
-from .network import NamedFlowNetwork
 
 __all__ = [
     "ActiveTimeFeasibility",
     "Dinic",
     "MaxFlowResult",
-    "NamedFlowNetwork",
     "extract_assignment",
     "is_feasible_slot_set",
 ]

@@ -1,7 +1,7 @@
 """Project-specific static analysis (``repro lint``).
 
 A stdlib-only, pluggable AST framework that walks every module under
-``src/``, ``tools/`` and ``benchmarks/`` and runs a registry of checks,
+``src/`` and ``benchmarks/`` and runs a registry of checks,
 each motivated by a concurrency, caching or wire-contract bug this
 codebase actually shipped and fixed:
 
@@ -22,10 +22,8 @@ that is deliberate is waived *on its line* with an auditable reason::
 
     handler()   # lint: waive[REP002] teardown path must never raise
 
-The legacy ``# blocking-ok`` spelling (from the retired
-``tools/check_async_blocking.py``) still works and means exactly
-``waive[REP001]``.  The framework lints itself; the CI gate runs
-``repro lint src tools benchmarks`` and fails on any unwaived finding.
+The framework lints itself; the CI gate runs ``repro lint src
+benchmarks`` and fails on any unwaived finding.
 """
 
 from .base import Finding, ModuleContext, Rule, RULES, TreeContext, register

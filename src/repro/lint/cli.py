@@ -19,7 +19,7 @@ from .runner import lint_paths
 __all__ = ["build_parser", "main"]
 
 #: What ``repro lint`` scans when no paths are given (repo convention).
-DEFAULT_PATHS = ("src", "tools", "benchmarks")
+DEFAULT_PATHS = ("src", "benchmarks")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,10 +81,9 @@ def _meta_findings(module: ModuleContext) -> Iterator[Finding]:
                 f"(expected REP###)",
             )
         if not waiver.reason:
-            spelling = "# blocking-ok" if waiver.legacy else "# lint: waive"
             yield module.finding(
                 META_RULE_ID, waiver.line,
-                f"waiver ({spelling}) carries no reason; write why the "
+                "waiver (# lint: waive) carries no reason; write why the "
                 "finding is acceptable after the waiver",
             )
         unknown = sorted(i for i in waiver.ids if i not in RULES)

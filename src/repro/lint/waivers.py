@@ -7,11 +7,6 @@ so suppressions stay auditable::
     time.sleep(0)   # lint: waive[REP001] yields the GIL; never blocks
 
 Multiple rules can share one waiver: ``# lint: waive[REP002,REP005]``.
-
-The legacy ``# blocking-ok`` spelling from ``tools/check_async_blocking``
-is absorbed as a waiver of exactly ``REP001`` (the rule that check
-became); it is deprecated but still honored so existing muscle memory
-keeps working — it too must carry a reason.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ __all__ = ["Waiver", "parse_waivers"]
 _WAIVE_RE = re.compile(
     r"#\s*lint:\s*waive\[(?P<ids>[^\]]*)\]\s*(?P<reason>.*?)\s*$"
 )
-_BLOCKING_OK_RE = re.compile(r"#\s*blocking-ok\b\s*(?P<reason>.*?)\s*$")
 _ID_RE = re.compile(r"^REP\d{3}$")
 
 
@@ -36,7 +30,6 @@ class Waiver:
     line: int  #: 1-based line the waiver (and the waived code) sits on
     ids: FrozenSet[str]
     reason: str
-    legacy: bool = False  #: came from the deprecated ``# blocking-ok``
     malformed: List[str] = field(default_factory=list)
 
     def covers(self, rule_id: str) -> bool:
@@ -68,14 +61,5 @@ def parse_waivers(lines: List[str]) -> Dict[int, Waiver]:
                 ids=good,
                 reason=match.group("reason"),
                 malformed=bad,
-            )
-            continue
-        match = _BLOCKING_OK_RE.search(text)
-        if match:
-            waivers[lineno] = Waiver(
-                line=lineno,
-                ids=frozenset({"REP001"}),
-                reason=match.group("reason"),
-                legacy=True,
             )
     return waivers

@@ -4,8 +4,9 @@
   (``GET /algos``, ``GET /healthz``, ``POST /solve``, ``POST /batch``)
   over one shared runner + result cache: one event loop multiplexes
   thousands of keep-alive connections, each ``/batch`` streams behind a
-  bounded backpressure buffer, and ``/solve`` leases workers at urgent
-  priority.
+  bounded backpressure buffer, and a deadlined ``/solve`` leases a worker
+  at urgent priority (an undeadlined one is solved in the server
+  process).
 * :mod:`~repro.serve.client` — a persistent-connection http.client
   speaking the same wire format, for sweeps that target a remote
   server.
@@ -17,7 +18,6 @@ from .client import ServeClient, ServeClientError, task_request
 from .server import (
     DEFAULT_PORT,
     ReproAsyncServer,
-    ReproHTTPServer,
     RequestError,
     ServeApp,
     create_server,
@@ -27,7 +27,6 @@ from .server import (
 __all__ = [
     "DEFAULT_PORT",
     "ReproAsyncServer",
-    "ReproHTTPServer",
     "RequestError",
     "ServeApp",
     "ServeClient",

@@ -31,9 +31,11 @@ Endpoints (wire contract unchanged from the threading tier)
 ``POST /solve``
     One task as a JSON object (``instance``/``problem``/``algorithm``/
     ``g``/``params``/``backend``/``timeout``/``meta``); answers the
-    :class:`~repro.engine.workers.TaskResult` record as JSON.  Solved
-    at :data:`~repro.engine.runner.PRIORITY_URGENT`, so a one-task
-    request takes a worker lease ahead of any large ``/batch``.
+    :class:`~repro.engine.workers.TaskResult` record as JSON.  An
+    undeadlined task is one pending task, so it is solved in the server
+    process; a deadlined one (a request ``timeout`` or ``--timeout``)
+    leases a pool worker at :data:`~repro.engine.runner.PRIORITY_URGENT`,
+    ahead of any large ``/batch``.
 ``POST /batch``
     A JSONL stream of task objects (one per line); answers chunked
     JSONL, one result record per line **in task order**.  Results are
@@ -89,7 +91,6 @@ __all__ = [
     "RequestError",
     "ServeApp",
     "ReproAsyncServer",
-    "ReproHTTPServer",
     "create_server",
     "parse_task_request",
 ]
@@ -349,9 +350,9 @@ class ServeApp:
     One *streaming* :class:`BatchRunner` over one :class:`ResultCache`.
     There is no whole-batch lock: every request path submits through
     :meth:`BatchRunner.run_stream`, which shares the runner's persistent
-    worker pools safely, so a long ``/batch`` never head-of-line blocks
-    concurrent ``/solve`` requests — and ``/solve`` submits at urgent
-    lease priority on top.  A cache is always present, even memory-only:
+    worker pool safely, so a long ``/batch`` never head-of-line blocks
+    concurrent ``/solve`` requests — and a deadlined ``/solve`` leases
+    at urgent priority on top.  A cache is always present, even memory-only:
     it is what dedupes repeated requests server-side (and it is
     internally locked, so concurrent handlers share it).
 
@@ -411,7 +412,7 @@ class ServeApp:
             self.runner.warm_up()
 
     def close(self) -> None:
-        """Release the runner's persistent worker pools."""
+        """Release the runner's persistent worker pool."""
         self.runner.close()
 
     # ------------------------------------------------------------------
@@ -540,7 +541,9 @@ class ServeApp:
     def solve_one(self, task: Task) -> TaskResult:
         """Run one task through the shared runner/cache, urgently.
 
-        ``/solve`` is a latency request: it leases at
+        ``/solve`` is a latency request.  Without a deadline it is one
+        pending task, which the runner solves in this process.  With
+        one it needs a worker the watchdog can kill, and it leases at
         :data:`~repro.engine.runner.PRIORITY_URGENT`, so a concurrent
         bulk ``/batch`` sheds it a worker at its next task completion
         instead of making it wait for the whole batch queue to drain.
@@ -753,7 +756,7 @@ class ReproAsyncServer:
     :meth:`serve_forever` blocks the calling thread (running a private
     event loop), :meth:`shutdown` stops it from any thread, and
     :meth:`server_close` releases the socket, the request executor and
-    the app's worker pools.
+    the app's worker pool.
     """
 
     def __init__(
@@ -855,7 +858,7 @@ class ReproAsyncServer:
         self._stopped.wait(timeout=30.0)
 
     def server_close(self) -> None:
-        """Release sockets, the request executor and the worker pools."""
+        """Release sockets, the request executor and the worker pool."""
         self.shutdown()
         self._closed = True
         try:
@@ -1264,11 +1267,6 @@ class ReproAsyncServer:
         if self.verbose:
             print(f'[{_SERVER_NAME}] "{method} {path}" {status}',
                   flush=True)
-
-
-#: Compatibility alias: the serving entry point was named after its
-#: ``ThreadingHTTPServer`` base before the asyncio rebuild.
-ReproHTTPServer = ReproAsyncServer
 
 
 def create_server(

@@ -113,11 +113,9 @@ class TestBatchRunner:
         tasks = _tasks(small_instances)
         cache = ResultCache(directory=tmp_path)
         runner = BatchRunner(jobs=1, cache=cache)
-        runner.run(tasks)
-        assert runner.last_cache_hits == 0
+        assert not any(r.cached for r in runner.run(tasks))
         second = BatchRunner(jobs=1, cache=ResultCache(directory=tmp_path))
         results = second.run(tasks)
-        assert second.last_cache_hits == len(tasks)
         assert all(r.cached for r in results)
 
     def test_failures_are_not_cached(self, tmp_path):
@@ -127,8 +125,7 @@ class TestBatchRunner:
         runner = BatchRunner(jobs=1, cache=cache)
         assert not runner.run(tasks)[0].ok
         rerun = BatchRunner(jobs=1, cache=cache)
-        rerun.run(tasks)
-        assert rerun.last_cache_hits == 0
+        assert not any(r.cached for r in rerun.run(tasks))
 
     def test_duplicate_digests_solved_once_per_run(self, small_instances):
         # Same instance submitted twice without any cache: the second
@@ -140,9 +137,10 @@ class TestBatchRunner:
             for i in range(3)
         ]
         runner = BatchRunner(jobs=1)
-        results = runner.run(tasks)
+        stream = runner.run_stream(tasks)
+        results = list(stream)
         assert [r.cached for r in results] == [False, True, True]
-        assert runner.last_cache_hits == 2
+        assert stream.stats.cache_hits == 2
         assert results[1].objective == results[0].objective
         assert results[2].meta == {"copy": 2}  # provenance preserved
 
@@ -156,10 +154,11 @@ class TestBatchRunner:
             for i in range(2)
         ]
         runner = BatchRunner(jobs=1)
-        results = runner.run(tasks)
+        stream = runner.run_stream(tasks)
+        results = list(stream)
         assert [r.ok for r in results] == [False, False]
         assert [r.cached for r in results] == [False, False]
-        assert runner.last_cache_hits == 0
+        assert stream.stats.cache_hits == 0
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
@@ -185,13 +184,13 @@ class TestExecuteLengthInvariant:
         self, small_instances, monkeypatch
     ):
         with BatchRunner(jobs=2) as runner:
-            real = runner._stream_parallel
+            real = runner._stream_watchdog
 
             def dropping(work, stats, priority=0):
                 events = list(real(work, stats))
                 yield from events[:-1]
 
-            monkeypatch.setattr(runner, "_stream_parallel", dropping)
+            monkeypatch.setattr(runner, "_stream_watchdog", dropping)
             tasks = _tasks(small_instances)
             results = runner.run(tasks)
         assert len(results) == len(tasks)
@@ -206,14 +205,14 @@ class TestExecuteLengthInvariant:
         self, small_instances, monkeypatch
     ):
         with BatchRunner(jobs=2) as runner:
-            real = runner._stream_parallel
+            real = runner._stream_watchdog
 
             def repeating(work, stats, priority=0):
                 events = list(real(work, stats))
                 yield from events
                 yield events[0]
 
-            monkeypatch.setattr(runner, "_stream_parallel", repeating)
+            monkeypatch.setattr(runner, "_stream_watchdog", repeating)
             with pytest.raises(RuntimeError, match="misaligned"):
                 runner.run(_tasks(small_instances))
 
@@ -317,12 +316,13 @@ class TestWatchdog:
         ]
         with BatchRunner(jobs=2, watchdog_grace=0.2) as runner:
             start = time.perf_counter()
-            results = runner.run(tasks)
+            stream = runner.run_stream(tasks)
+            results = list(stream)
             elapsed = time.perf_counter() - start
         assert [r.ok for r in results] == [False, True, False]
         assert "watchdog" in results[0].error
         assert "timed out" in results[2].error
-        assert runner.last_watchdog_kills == 2
+        assert stream.stats.watchdog_kills == 2
         assert elapsed < 15.0
 
     def test_timeouts_from_watchdog_are_not_cached(
@@ -382,7 +382,8 @@ class TestWatchdog:
             for i, inst in enumerate(small_instances)
         ]
         with BatchRunner(jobs=2) as runner:
-            results = runner.run(tasks)
+            stream = runner.run_stream(tasks)
+            results = list(stream)
         assert len(results) == len(tasks)
         assert [r.ok for r in results] == [False, True, False]
         assert [r.index for r in results] == [0, 1, 2]
@@ -390,7 +391,7 @@ class TestWatchdog:
             assert results[pos].digest == tasks[pos].digest
             assert "died" in results[pos].error
         # deaths are not timeouts: the watchdog never had to fire
-        assert runner.last_watchdog_kills == 0
+        assert stream.stats.watchdog_kills == 0
 
     def test_dead_duplicates_are_retried_through_the_watchdog(
         self, dying_solver, small_instances
@@ -416,9 +417,10 @@ class TestWatchdog:
         # the grace window, so the watchdog never has to kill anything.
         tasks = _tasks(small_instances[:2], timeout=30.0)
         with BatchRunner(jobs=2) as runner:
-            results = runner.run(tasks)
+            stream = runner.run_stream(tasks)
+            results = list(stream)
         assert all(r.ok for r in results)
-        assert runner.last_watchdog_kills == 0
+        assert stream.stats.watchdog_kills == 0
 
 
 class TestSweep:
@@ -635,6 +637,30 @@ class TestStructureAffinity:
         pos, task = BatchRunner._take_task(work, w2, affinity, held)
         assert pos == 1 and task.structure_group is None
 
+    def test_take_task_pops_head_without_scanning_when_nothing_is_bound(
+        self, small_instances
+    ):
+        # Ungrouped streams never bind a group, so dispatch must not
+        # walk the queue: a walk per dispatch makes a drain O(n^2).
+        from collections import deque
+
+        from repro.engine.runner import BatchRunner
+
+        class NoScan(deque):
+            def __iter__(self):
+                raise AssertionError("queue scanned with no group bound")
+
+        w1, w2 = object(), object()
+        held = [w1, w2]
+        work = NoScan(self._grouped_work(small_instances, [None, "A", None]))
+        affinity = {}
+        pos, task = BatchRunner._take_task(work, w1, affinity, held)
+        assert pos == 0 and affinity == {}
+        # the head's group (if any) is bound exactly as the scan would
+        pos, task = BatchRunner._take_task(work, w2, affinity, held)
+        assert pos == 1 and affinity == {"A": w2}
+        assert len(work) == 1 and work[0][0] == 2
+
     def test_grouped_tasks_route_to_watchdog_when_parallel(
         self, small_instances
     ):
@@ -658,9 +684,16 @@ class TestStructureAffinity:
                 runner._pick_strategy(grouped, work)
                 == runner._stream_watchdog
             )
+            # ungrouped, undeadlined streams share the same pool
+            plain_work = [(i, t) for i, t in enumerate(plain)]
             assert (
-                runner._pick_strategy(plain, work)
-                == runner._stream_parallel
+                runner._pick_strategy(plain, plain_work)
+                == runner._stream_watchdog
+            )
+            # one undeadlined pending task is solved in-process
+            assert (
+                runner._pick_strategy(plain[:1], plain_work[:1])
+                == runner._stream_serial
             )
         # jobs=1 stays serial regardless of grouping
         with BatchRunner(jobs=1) as runner:

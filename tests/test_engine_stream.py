@@ -1,12 +1,13 @@
-"""Tests for `BatchRunner.run_stream` and the persistent worker pools.
+"""Tests for `BatchRunner.run_stream` and the persistent worker pool.
 
 Covers the streaming contract (task-order yields, incremental arrival,
-parity with ``run``), pool persistence across calls, and the
-broken-process-pool recovery path.
+parity with ``run``), pool persistence across calls, worker-death
+recovery and clean interrupts.
 """
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -15,6 +16,7 @@ import pytest
 from repro.core import Instance
 from repro.engine import BatchRunner, ResultCache, make_task
 from repro.engine.registry import REGISTRY, SolveOutcome, SolverSpec
+from repro.engine.runner import _WatchdogWorker
 
 _FORK_ONLY = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -120,8 +122,9 @@ class TestStreamParity:
         with BatchRunner(jobs=1, cache=cache) as warm:
             warm.run(tasks)
         with BatchRunner(jobs=1, cache=ResultCache(directory=tmp_path)) as r:
-            streamed = list(r.run_stream(tasks))
-            assert r.last_cache_hits == len(tasks)
+            stream = r.run_stream(tasks)
+            streamed = list(stream)
+            assert stream.stats.cache_hits == len(tasks)
         assert all(res.cached for res in streamed)
 
     def test_cache_hits_stream_before_execution(self, small_instances):
@@ -209,7 +212,7 @@ class TestStrategyAndCancellation:
         # an undeadlined first occurrence with a deadlined duplicate.
         # The duplicate's failure retry joins the queue mid-stream; the
         # strategy choice must see its deadline up front and run the
-        # whole stream under the watchdog, not the plain pool — else the
+        # whole stream on the worker pool, not in-process — else the
         # retry's hard timeout silently degrades to a soft one.
         bad = Instance.from_tuples([(0, 1, 1), (0, 1, 1)])
         first = make_task(index=0, problem="active", algorithm="minimal",
@@ -219,33 +222,52 @@ class TestStrategyAndCancellation:
         assert first.digest == dup.digest and first.timeout is None
         with BatchRunner(jobs=2) as runner:
             results = runner.run([first, dup])
-            assert runner._wd_total >= 1  # the watchdog pool was used
-            assert runner._executor is None  # the plain pool was not
+            assert runner._wd_total >= 1  # the worker pool was used
         assert [r.ok for r in results] == [False, False]
 
-    def test_cancelled_futures_become_positioned_failures(
-        self, small_instances, monkeypatch
+    @_FORK_ONLY
+    def test_ctrl_c_mid_batch_propagates_and_kills_busy_workers(
+        self, sleepy_solver, small_instances, monkeypatch
     ):
-        # CancelledError is a BaseException: when another stream's pool
-        # rebuild (or close()) cancels this stream's queued futures on
-        # the shared executor, each must surface as a positioned failure
-        # record, not escape and kill the stream mid-batch.
-        from concurrent.futures import Future
+        # SIGINT lands in the consuming thread while both workers are
+        # mid-solve: the KeyboardInterrupt must escape run(), and no
+        # worker the runner started may outlive it.
+        spawned = []
+        spawn = _WatchdogWorker.spawn
 
-        def cancelled_submit(task):
-            future = Future()
-            future.cancel()
-            # what a real executor does when it drains a cancelled work
-            # item: notify waiters, so wait() reports the future done
-            future.set_running_or_notify_cancel()
-            return future
+        def recording_spawn(ctx):
+            worker = spawn(ctx)
+            spawned.append(worker.proc)
+            return worker
 
-        with BatchRunner(jobs=2) as runner:
-            monkeypatch.setattr(runner, "_submit", cancelled_submit)
-            results = runner.run(_tasks(small_instances[:3]))
-        assert [r.ok for r in results] == [False, False, False]
-        assert all("pool broke" in r.error for r in results)
-        assert [r.index for r in results] == [0, 1, 2]
+        monkeypatch.setattr(
+            _WatchdogWorker, "spawn", staticmethod(recording_spawn)
+        )
+        tasks = [
+            make_task(index=i, problem="active", algorithm=sleepy_solver,
+                      g=2, instance=small_instances[i % 4],
+                      meta={"copy": i})
+            for i in range(6)
+        ]
+        main = threading.main_thread().ident
+        timer = threading.Timer(
+            0.4, signal.pthread_kill, args=(main, signal.SIGINT)
+        )
+        runner = BatchRunner(jobs=2)
+        try:
+            timer.start()
+            start = time.perf_counter()
+            with pytest.raises(KeyboardInterrupt):
+                runner.run(tasks)
+            elapsed = time.perf_counter() - start
+            assert len(spawned) == 2
+            assert not any(proc.is_alive() for proc in spawned)
+            # uninterrupted, the batch would take 3 x 0.8 s
+            assert elapsed < 1.6
+        finally:
+            timer.cancel()
+            timer.join(timeout=5)
+            runner.close()
 
 
 @_FORK_ONLY
@@ -318,15 +340,14 @@ class TestWatchdogLeasing:
 
 class TestPersistentPools:
     def test_executor_survives_across_calls(self, small_instances):
+        # Undeadlined, ungrouped runs reuse the same worker processes.
         with BatchRunner(jobs=2) as runner:
             runner.run(_tasks(small_instances))
-            first_pool = runner._executor
-            assert first_pool is not None
-            first_pids = set(first_pool._processes)
+            pids = sorted(w.proc.pid for w in runner._wd_idle)
+            assert pids and runner._wd_total == len(pids) <= 2
             runner.run(_tasks(small_instances, g=3))
-            assert runner._executor is first_pool
-            assert set(runner._executor._processes) == first_pids
-        assert runner._executor is None  # released by the context manager
+            assert sorted(w.proc.pid for w in runner._wd_idle) == pids
+        assert runner._wd_total == 0 and runner._wd_idle == []
 
     def test_watchdog_workers_survive_across_calls(self, small_instances):
         with BatchRunner(jobs=2) as runner:
@@ -342,7 +363,7 @@ class TestPersistentPools:
         try:
             assert all(r.ok for r in runner.run(_tasks(small_instances)))
             runner.close()
-            assert runner._executor is None
+            assert runner._wd_total == 0
             assert all(r.ok for r in runner.run(_tasks(small_instances)))
         finally:
             runner.close()
@@ -353,11 +374,9 @@ class TestBrokenPool:
     def test_broken_pool_fails_in_place_and_batch_survives(
         self, dying_solver, small_instances
     ):
-        # Task 0 OOM-kills its worker, which breaks the whole
-        # ProcessPoolExecutor.  Regression: future.result() used to
-        # propagate BrokenProcessPool and abort the batch; now every
-        # broken future becomes a positioned failure and the remaining
-        # tasks run on a rebuilt pool.
+        # Task 0 (no deadline) kills its worker outright, as the OOM
+        # killer would.  Only that task may fail, at its own position;
+        # a fresh worker replaces the dead one for everything else.
         instances = small_instances * 2
         tasks = [
             make_task(
@@ -374,15 +393,12 @@ class TestBrokenPool:
             assert len(results) == len(tasks)
             assert [r.index for r in results] == list(range(len(tasks)))
             assert not results[0].ok
-            assert "pool broke" in results[0].error
+            assert "died" in results[0].error
             assert results[0].digest == tasks[0].digest
-            # the pool break can take at most the one in-flight
-            # neighbour down with it (which one is a scheduling race);
-            # everything still queued runs on the fresh pool.
-            bad = [r for r in results if not r.ok]
-            assert 1 <= len(bad) <= 2, [r.error for r in bad]
-            assert all("pool broke" in r.error for r in bad)
-            # the runner stays usable: next call gets a healthy pool
+            assert all(r.ok for r in results[1:]), [
+                r.error for r in results[1:] if not r.ok
+            ]
+            # the runner stays usable
             again = runner.run(
                 _tasks(small_instances, g=3)
             )
@@ -406,9 +422,8 @@ class TestPerStreamStats:
     def test_concurrent_streams_keep_counts_separate(self, small_instances):
         # Two streams share one runner and one cache: stream A re-runs
         # previously cached tasks (every result a hit), stream B solves
-        # fresh ones (zero hits).  With the old runner-level
-        # ``last_cache_hits`` attribute the two consumers raced and one
-        # stream read the other's count; per-stream stats must not.
+        # fresh ones (zero hits).  Each stream's stats must count only
+        # its own hits, however the two interleave.
         cache = ResultCache()
         hot = _tasks(small_instances)
         cold = _tasks(small_instances, g=3)
@@ -439,9 +454,6 @@ class TestPerStreamStats:
             assert not errors
             assert streams["hot"].stats.cache_hits == len(hot)
             assert streams["cold"].stats.cache_hits == 0
-            # the legacy mirror still answers, with whichever stream
-            # finished last -- a sanity check, not a contract
-            assert runner.last_cache_hits in (0, len(hot))
 
     def test_duplicate_reuse_counts_as_stream_hit(self, small_instances):
         tasks = _tasks(small_instances + [small_instances[0]])

@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.flow import Dinic, NamedFlowNetwork
+from repro.flow import Dinic
 
 
 class TestConstruction:
@@ -148,25 +148,3 @@ class TestAgainstNetworkx:
                 G.add_edge(u, v, capacity=c)
         expected = nx.maximum_flow_value(G, 0, n - 1) if G.number_of_edges() else 0
         assert net.max_flow(0, n - 1).value == expected
-
-
-class TestNamedNetwork:
-    def test_named_nodes(self):
-        net = NamedFlowNetwork()
-        net.add_edge("s", ("job", 1), 3)
-        net.add_edge(("job", 1), "t", 2)
-        assert net.max_flow("s", "t").value == 2
-        assert net.has_node(("job", 1))
-        assert not net.has_node("missing")
-        assert len(net) == 3
-
-    def test_set_capacity(self):
-        net = NamedFlowNetwork()
-        e = net.add_edge("a", "b", 5)
-        net.set_capacity(e, 1)
-        assert net.max_flow("a", "b").value == 1
-
-    def test_raw_access(self):
-        net = NamedFlowNetwork()
-        net.add_edge("a", "b", 1)
-        assert net.raw.num_edges == 1

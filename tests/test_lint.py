@@ -71,18 +71,6 @@ class TestREP001AsyncBlocking:
         """)
         assert _lint_dir(tmp_path, rule_ids=["REP001"]).ok
 
-    def test_legacy_blocking_ok_waiver_still_works(self, tmp_path):
-        _write(tmp_path, "mod.py", """\
-            import time
-
-            async def handler():
-                time.sleep(0)  # blocking-ok yields the GIL; never blocks
-        """)
-        report = _lint_dir(tmp_path, rule_ids=["REP001"])
-        assert report.ok
-        assert len(report.waived) == 1
-        assert report.waived[0].rule == "REP001"
-
     def test_banned_server_imports_only_in_serve_package(self, tmp_path):
         source = "import socketserver\n"
         _write(tmp_path, "src/repro/serve/bad.py", source)
@@ -435,16 +423,8 @@ class TestWaivers:
         waiver = waivers[1]
         assert waiver.ids == frozenset({"REP002", "REP005"})
         assert waiver.reason == "crosses no boundary"
-        assert not waiver.legacy
         assert not waiver.malformed
         assert waiver.covers("REP005") and not waiver.covers("REP001")
-
-    def test_legacy_blocking_ok_means_rep001(self):
-        waivers = parse_waivers(["time.sleep(0)  # blocking-ok warms cache"])
-        waiver = waivers[1]
-        assert waiver.ids == frozenset({"REP001"})
-        assert waiver.legacy
-        assert waiver.reason == "warms cache"
 
     def test_malformed_ids_recorded(self):
         waivers = parse_waivers(["x  # lint: waive[REP1,nope] why"])
@@ -512,7 +492,7 @@ class TestCli:
 
             async def handler():
                 time.sleep(0)
-                time.sleep(1)  # blocking-ok measured; sub-ms on this path
+                time.sleep(1)  # lint: waive[REP001] measured; sub-ms on this path
         """)
         code = lint_main([str(tmp_path), "--json", "--root", str(tmp_path)])
         assert code == 1
@@ -584,13 +564,10 @@ def test_seeded_violation_fails_the_gate(rule_id, tmp_path, capsys):
 
 class TestRealTree:
     def test_framework_keeps_the_tree_clean(self):
-        """`repro lint src tools benchmarks` — the CI gate — is green,
-        and every waiver in the tree carries a reason (REP000 would
-        fire otherwise)."""
-        report = lint_paths(
-            [ROOT / "src", ROOT / "tools", ROOT / "benchmarks"],
-            root=ROOT,
-        )
+        """`repro lint src benchmarks` — the CI gate — is green, and
+        every waiver in the tree carries a reason (REP000 would fire
+        otherwise)."""
+        report = lint_paths([ROOT / "src", ROOT / "benchmarks"], root=ROOT)
         assert report.ok, "\n".join(f.format() for f in report.findings)
         assert report.files_scanned > 100
 
