@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
@@ -733,29 +734,19 @@ def _cmd_batch(args) -> int:
                 tasks=len(tasks),
                 **({"remote": dispatcher.urls} if dispatcher else {}),
             )
-        if dispatcher is not None:
-            results = []
-            stream = dispatcher.run_stream(tasks)
-            for result in stream:
+        results = []
+        with (
+            nullcontext(dispatcher)
+            if dispatcher is not None
+            else BatchRunner(jobs=args.jobs, cache=_make_cache(args))
+        ) as executor:
+            for result in executor.run_stream(tasks):
                 if args.stream:
                     _emit_jsonl(result)
                 if obs_log is not None:
                     obs_log.emit("task_result", **_obs_event(result))
                 results.append(result)
-            cache_hits = sum(1 for r in results if r.cached)
-        else:
-            with BatchRunner(
-                jobs=args.jobs, cache=_make_cache(args)
-            ) as runner:
-                results = []
-                stream = runner.run_stream(tasks)
-                for result in stream:
-                    if args.stream:
-                        _emit_jsonl(result)
-                    if obs_log is not None:
-                        obs_log.emit("task_result", **_obs_event(result))
-                    results.append(result)
-                cache_hits = stream.stats.cache_hits
+        cache_hits = sum(r.cached for r in results)
         if obs_log is not None:
             obs_log.emit(
                 "batch_done",

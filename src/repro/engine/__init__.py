@@ -8,6 +8,9 @@ Layers, bottom up:
   LRU + optional on-disk JSON store).
 * :mod:`~repro.engine.workers` — picklable task/result records and the
   worker-side executor with timeouts and rich error context.
+* :mod:`~repro.engine.dispatch` — one run's scheduling state (digest
+  dedupe, sticky structure-group picks, the ordered merge), shared by
+  the runner and the multi-host fabric.
 * :mod:`~repro.engine.runner` — :class:`BatchRunner`, which shards
   tasks across a process pool with deterministic result ordering.
 * :mod:`~repro.engine.results` — streaming JSONL store + aggregation
@@ -34,7 +37,8 @@ from .results import (
     warm_stats_table,
     write_results,
 )
-from .runner import BatchRunner, PRIORITY_URGENT, ResultStream, StreamStats
+from .dispatch import ResultStream
+from .runner import BatchRunner, PRIORITY_URGENT, StreamStats
 from .sweep import SweepGrid, build_sweep_tasks, default_grid, run_sweep
 from .workers import Task, TaskResult, TaskTimeout, execute_task, make_task
 

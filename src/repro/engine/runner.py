@@ -29,12 +29,12 @@ Design points:
   its task's budget (``SIGALRM`` cannot interrupt a solver stuck inside
   HiGHS C code; killing the process can).  The task gets a ``timeout``
   result and the batch continues on a fresh worker.
-* **Sticky structure affinity** — tasks tagged with a
-  ``structure_group`` (sweep chains of near-identical LP/MILP
-  structures) are dispatched with the group bound to one worker
-  process, so a resolve-capable solver backend's resident-model cache
-  serves the whole warm-start chain; affinity is best-effort and never
-  idles a worker while work is queued.
+* **One scheduling core** — digest dedupe, the ordered merge and
+  sticky structure affinity (a ``structure_group`` chain stays on one
+  worker process, so a resolve-capable backend's resident-model cache
+  serves it) are :mod:`repro.engine.dispatch`, shared with the
+  multi-host fabric; this module keeps worker leases, the watchdog,
+  cache I/O and trace folding.
 * **Clean interrupt** — Ctrl-C while a stream waits on its workers
   kills every worker still holding one of its tasks before the
   ``KeyboardInterrupt`` propagates, so no worker grinds on behind it;
@@ -53,18 +53,16 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as connection_wait
-from typing import Deque, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..obs import REGISTRY as OBS
 from .cache import ResultCache
+from .dispatch import AffinityQueue, DedupePlan, ResultStream, reanchor
 from .workers import Task, TaskResult, execute_task, failure_result, worker_loop
 
-__all__ = [
-    "BatchRunner", "PRIORITY_URGENT", "ResultStream", "StreamStats",
-]
+__all__ = ["BatchRunner", "PRIORITY_URGENT", "StreamStats"]
 
 _TASKS = OBS.counter(
     "repro_tasks_total",
@@ -156,6 +154,7 @@ class StreamStats:
     def record_hit(self) -> None:
         self.cache_hits += 1
         _STREAM_HITS.inc()
+        _TASKS.labels(status="cached").inc()
 
     def enqueue(self, pos: int) -> None:
         self._enqueued[pos] = time.perf_counter()
@@ -208,38 +207,6 @@ class StreamStats:
             "failures": self.failures,
             "watchdog_kills": self.watchdog_kills,
         }
-
-
-class ResultStream:
-    """Iterator over a stream's results, carrying its :class:`StreamStats`.
-
-    Behaves exactly like the generator :meth:`BatchRunner.run_stream`
-    used to return (``for result in stream``, ``stream.close()``), plus
-    a ``stats`` attribute that is safe to read while the stream runs and
-    authoritative once it ends.
-    """
-
-    def __init__(self, gen: Iterator[TaskResult], stats: StreamStats) -> None:
-        self._gen = gen
-        self.stats = stats
-
-    def __iter__(self) -> "ResultStream":
-        return self
-
-    def __next__(self) -> TaskResult:
-        return next(self._gen)
-
-    def close(self) -> None:
-        try:
-            self._gen.close()
-        finally:
-            self.stats.finish()
-
-    def __del__(self) -> None:  # abandoned without close(): settle gauges
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 @dataclass
@@ -541,103 +508,78 @@ class BatchRunner:
         """
         tasks = list(tasks)
         stats = StreamStats(total=len(tasks))
-        results: list[TaskResult | None] = [None] * len(tasks)
-        work: Deque[tuple[int, Task]] = deque()
-        first_by_digest: dict[str, int] = {}
-        dups_by_first: dict[int, list[int]] = {}
-
-        for pos, task in enumerate(tasks):
-            started = time.perf_counter()
-            hit = self._cache_lookup(task)
-            lookup = time.perf_counter() - started
-            if hit is not None:
-                results[pos] = self._mark_hit(hit, lookup)
-                stats.record_hit()
-                _TASKS.labels(status="cached").inc()
-                continue
-            stats.record_lookup(pos, lookup)
-            first = first_by_digest.get(task.digest)
-            if first is not None:
-                dups_by_first.setdefault(first, []).append(pos)
-                continue
-            first_by_digest[task.digest] = pos
-            work.append((pos, task))
+        plan = DedupePlan(tasks)
+        work = AffinityQueue(tasks, on_steal=_STEALS.inc)
+        for pos in plan.admit(
+            lambda pos, task: self._planned_hit(pos, task, stats)
+        ):
+            work.push(pos, tasks[pos])
             stats.enqueue(pos)
-
         stats.open()
         return ResultStream(
-            self._stream(
-                tasks, results, work, dups_by_first, stats, priority
-            ),
-            stats,
+            self._stream(plan, work, stats, priority), stats, stats.finish
         )
 
     # ------------------------------------------------------------------
     def _stream(
         self,
-        tasks: list[Task],
-        results: list[TaskResult | None],
-        work: Deque[tuple[int, Task]],
-        dups_by_first: dict[int, list[int]],
+        plan: DedupePlan,
+        work: AffinityQueue,
         stats: StreamStats,
         priority: int = 0,
     ) -> Iterator[TaskResult]:
-        """Drive a strategy's completion events into an ordered stream.
+        """Drive a strategy's completion events through the ordered merge.
 
         The strategy generator yields ``(pos, result)`` events in
-        completion order; this merger stores them, resolves duplicate
-        positions (reuse on success — mirroring :meth:`_cache_store`'s
-        policy, failures such as timeouts are *retried* by appending the
-        duplicate to ``work``, never reused), and emits results in task
-        order as soon as each prefix is complete.
+        completion order; each is folded, cached and stored in ``plan``,
+        whose duplicates of a failure join ``work`` for a retry, and the
+        finished prefix is yielded in task order.
         """
-        emitted = 0
-        total = len(tasks)
-        events = self._pick_strategy(tasks, work)(work, stats, priority)
+        events = self._pick_strategy(plan.tasks, work)(work, stats, priority)
         try:
             # Cache hits at the head of the list stream out immediately,
             # before the first solve completes.
-            while emitted < total and results[emitted] is not None:
-                yield results[emitted]
-                emitted += 1
+            yield from plan.ready()
             for pos, result in events:
-                if results[pos] is not None:
-                    raise RuntimeError(
-                        f"execution strategy produced a second result for "
-                        f"task position {pos}; results would be misaligned"
-                    )
                 result = self._finish_result(pos, result, stats)
-                results[pos] = result
+                copies, retry = plan.store(pos, result)
                 self._cache_store(result)
-                for dup in dups_by_first.pop(pos, ()):
-                    if result.ok:
-                        results[dup] = self._reanchor(result, tasks[dup])
-                        stats.record_hit()
-                        _TASKS.labels(status="cached").inc()
-                    else:
-                        work.append((dup, tasks[dup]))
-                        stats.enqueue(dup)
-                while emitted < total and results[emitted] is not None:
-                    yield results[emitted]
-                    emitted += 1
+                for _ in range(copies):
+                    stats.record_hit()
+                for dup in retry:
+                    work.push(dup, plan.tasks[dup])
+                    stats.enqueue(dup)
+                yield from plan.ready()
         finally:
             events.close()
             stats.finish()
-        if emitted < total:
-            # A strategy lost track of a task (worker died in a way no
-            # handler caught): positioned failures, never dropped slots.
-            for sealed in self._sealed(results, tasks)[emitted:]:
-                yield sealed
+        # A strategy lost track of a task (worker died in a way no
+        # handler caught): positioned failures, never dropped slots.
+        yield from plan.seal()
 
-    @staticmethod
-    def _mark_hit(result: TaskResult, lookup: float) -> TaskResult:
-        """Attach a minimal trace to a planning-time cache hit."""
-        metrics = dict(result.metrics)
-        metrics["trace"] = {
-            "labels": {"algorithm": result.algorithm, "cached": True},
+    def _planned_hit(
+        self, pos: int, task: Task, stats: StreamStats
+    ) -> TaskResult | None:
+        """The cache's answer for ``task`` at planning time, or ``None``.
+
+        The lookup is timed either way: a hit carries it as its only
+        trace span, a miss keeps it for the span list of its solve.
+        """
+        started = time.perf_counter()
+        record = None if self.cache is None else self.cache.get(task.digest)
+        hit = None if record is None else reanchor(
+            TaskResult.from_record(record), task
+        )
+        lookup = time.perf_counter() - started
+        if hit is None:
+            stats.record_lookup(pos, lookup)
+            return None
+        stats.record_hit()
+        hit.metrics["trace"] = {
+            "labels": {"algorithm": hit.algorithm, "cached": True},
             "spans": [{"name": "cache_lookup", "dur": round(lookup, 6)}],
         }
-        return replace(result, metrics=metrics)
+        return hit
 
     @staticmethod
     def _finish_result(
@@ -690,7 +632,7 @@ class BatchRunner:
         return replace(result, metrics=metrics)
 
     def _pick_strategy(
-        self, tasks: Sequence[Task], work: Sequence[tuple[int, Task]]
+        self, tasks: Sequence[Task], work: AffinityQueue
     ):
         """Choose the execution strategy for one stream.
 
@@ -714,35 +656,12 @@ class BatchRunner:
             return self._stream_watchdog
         return self._stream_serial
 
-    @staticmethod
-    def _sealed(
-        results: list[TaskResult | None], pending: Sequence[Task]
-    ) -> list[TaskResult]:
-        """``results`` with every empty slot turned into an explicit failure.
-
-        A slot can only be empty if an execution strategy lost track of
-        its task (e.g. a worker died in a way no handler caught); the
-        task gets a visible ``ok=False`` record at its own position
-        rather than being dropped and shifting its neighbours.
-        """
-        return [
-            result
-            if result is not None
-            else failure_result(
-                pending[pos],
-                "runner produced no result for this task "
-                "(worker lost without a recorded failure)",
-                0.0,
-            )
-            for pos, result in enumerate(results)
-        ]
-
     # ------------------------------------------------------------------
     # Serial strategy (jobs=1, or a single pending task)
     # ------------------------------------------------------------------
     def _stream_serial(
         self,
-        work: Deque[tuple[int, Task]],
+        work: AffinityQueue,
         stats: StreamStats,
         priority: int = 0,
     ) -> Iterator[tuple[int, TaskResult]]:
@@ -756,7 +675,7 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _stream_watchdog(
         self,
-        work: Deque[tuple[int, Task]],
+        work: AffinityQueue,
         stats: StreamStats,
         priority: int = 0,
     ) -> Iterator[tuple[int, TaskResult]]:
@@ -772,19 +691,17 @@ class BatchRunner:
         over-spawning; idle workers are returned as soon as this stream
         has no queued work left for them.
 
-        Dispatch is *sticky* for structure-grouped tasks: the first
-        task of a group binds the group to its worker, and later tasks
-        of the same group prefer that worker — which is what lets a
-        resolve-capable backend's per-process resident-model cache
-        serve the whole warm-start chain.  Affinity is best-effort and
-        work-conserving: an idle worker never waits for "its" group
-        while other work is queued (it steals and rebinds instead), so
-        the worst case degrades to today's arbitrary placement, never
-        to idling.
+        Dispatch is sticky for structure-grouped tasks
+        (:meth:`AffinityQueue.take`): a group prefers the worker it
+        last ran on while this stream still holds that worker, and an
+        idle worker steals rather than waits.
         """
         ctx = mp.get_context()
         held: list[_WatchdogWorker] = []
-        affinity: dict[str, _WatchdogWorker] = {}
+
+        def live(owner: _WatchdogWorker) -> bool:
+            return any(owner is w for w in held)
+
         try:
             while True:
                 busy = [w for w in held if w.task is not None]
@@ -833,9 +750,7 @@ class BatchRunner:
                     for i, worker in enumerate(held):
                         if worker.task is not None or not work:
                             continue
-                        pos, task = self._take_task(
-                            work, worker, affinity, held
-                        )
+                        pos, task = work.take(worker, live)
                         stats.dispatch(pos)
                         try:
                             worker.dispatch(pos, task, self.watchdog_grace)
@@ -907,60 +822,6 @@ class BatchRunner:
                 if worker.task is not None:
                     self._wd_discard(worker)
             self._wd_release([w for w in held if w.task is None])
-
-    @staticmethod
-    def _take_task(
-        work: Deque[tuple[int, Task]],
-        worker: _WatchdogWorker,
-        affinity: dict[str, _WatchdogWorker],
-        held: list[_WatchdogWorker],
-    ) -> tuple[int, Task]:
-        """Pop the best queued task for ``worker``, sticky by group.
-
-        Preference order: (1) a task whose structure group is already
-        bound to this worker — the warm-chain continuation; (2) the
-        first task whose group is unbound (or bound to a worker no
-        longer held — killed, replaced, or shed to another stream) or
-        that has no group; (3) the queue head, stealing it from the
-        worker its group is bound to and rebinding.  (3) keeps dispatch
-        work-conserving: affinity shapes placement, it never idles a
-        worker while work is queued.  Callers must ensure ``work`` is
-        non-empty.
-
-        With no group bound yet nothing can match (1) and the head
-        always qualifies for (2), so the head is taken without scanning
-        the queue — dispatch stays O(1) for ungrouped streams.
-        """
-        if not affinity:
-            pos, task = work.popleft()
-        else:
-            own: int | None = None
-            fallback: int | None = None
-            for i, (_, task) in enumerate(work):
-                group = task.structure_group
-                if group is None:
-                    if fallback is None:
-                        fallback = i
-                    continue
-                bound = affinity.get(group)
-                if bound is worker:
-                    own = i
-                    break
-                if fallback is None and not any(w is bound for w in held):
-                    fallback = i
-            if own is None and fallback is None:
-                # Queue head belongs to another held worker's group — a
-                # work-conserving steal that rebinds the group.
-                _STEALS.inc()
-            index = own if own is not None else (
-                fallback if fallback is not None else 0
-            )
-            pos, task = work[index]
-            del work[index]
-        group = task.structure_group
-        if group is not None:
-            affinity[group] = worker
-        return pos, task
 
     def _wd_acquire(
         self, want: int, *, block: bool, priority: int = 0
@@ -1082,41 +943,6 @@ class BatchRunner:
             self._wd_cond.notify_all()
 
     # ------------------------------------------------------------------
-    def _cache_lookup(self, task: Task) -> TaskResult | None:
-        if self.cache is None:
-            return None
-        record = self.cache.get(task.digest)
-        if record is None:
-            return None
-        return self._reanchor(TaskResult.from_record(record), task)
-
-    @staticmethod
-    def _reanchor(result: TaskResult, task: Task) -> TaskResult:
-        """A reused result re-anchored to this task's position/provenance.
-
-        ``metrics`` is copied (and the original's trace dropped) so the
-        reused record never aliases the original's dict — a consumer
-        mutating one must not corrupt the other, and the original's
-        queue/solve spans describe *its* execution, not this reuse.
-        """
-        metrics = dict(result.metrics)
-        metrics.pop("trace", None)
-        return TaskResult(
-            index=task.index,
-            digest=result.digest,
-            problem=result.problem,
-            algorithm=result.algorithm,
-            g=result.g,
-            n=result.n,
-            ok=result.ok,
-            objective=result.objective,
-            metrics=metrics,
-            error=result.error,
-            elapsed=result.elapsed,
-            cached=True,
-            meta=task.meta or result.meta,
-        )
-
     def _cache_store(self, result: TaskResult) -> None:
         # Failures are not cached: a timeout or transient error should be
         # retried on the next run rather than pinned forever.

@@ -10,6 +10,7 @@ and hands back results plus the aggregate table.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -250,7 +251,7 @@ def run_sweep(
     pool is owned by this call and released before it returns.
 
     ``dispatcher`` (anything with a ``run_stream(tasks)`` yielding
-    ordered results and carrying ``.stats``, in practice a
+    ordered results, in practice a
     :class:`repro.fabric.RemoteDispatcher`) replaces the local runner:
     the same grid, digests, and streaming contract, executed on remote
     ``repro serve`` hosts — ``jobs`` and ``cache`` then belong to the
@@ -261,28 +262,22 @@ def run_sweep(
     tasks = build_sweep_tasks(grids, base_seed=base_seed, limit=limit)
     results: list[TaskResult] = []
     start = time.perf_counter()
-    if dispatcher is not None:
-        stream = dispatcher.run_stream(tasks)
-        for result in stream:
+    with (
+        nullcontext(dispatcher)
+        if dispatcher is not None
+        else BatchRunner(jobs=jobs, cache=cache)
+    ) as executor:
+        for result in executor.run_stream(tasks):
             if on_result is not None:
                 on_result(result)
             results.append(result)
-        # Fabric hits come from two layers — local digest fan-out and
-        # the remote hosts' own caches; both mark results ``cached``.
-        cache_hits = sum(1 for r in results if r.cached)
-    else:
-        with BatchRunner(jobs=jobs, cache=cache) as runner:
-            stream = runner.run_stream(tasks)
-            for result in stream:
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-            cache_hits = stream.stats.cache_hits
     elapsed = time.perf_counter() - start
     return SweepOutcome(
         tasks=tasks,
         results=results,
-        cache_hits=cache_hits,
+        # Cache hits, in-run dedupe and (on the fabric) the remote
+        # hosts' own caches all mark results ``cached``.
+        cache_hits=sum(r.cached for r in results),
         table=aggregate_table(results, title),
         errors=sum(1 for r in results if not r.ok),
         elapsed=elapsed,

@@ -2,12 +2,12 @@
 
 One :class:`RemoteDispatcher` turns many ``repro serve`` hosts into a
 single sweep engine with the same streaming, ordered, dedupe-aware
-contract as the local :class:`repro.engine.runner.BatchRunner`.
+contract as the local :class:`repro.engine.runner.BatchRunner`: both
+run the engine's one scheduling core, :mod:`repro.engine.dispatch`.
 """
 
 from .dispatcher import (
     FabricStats,
-    FabricStream,
     HostStats,
     RemoteDispatcher,
     normalize_hosts,
@@ -16,7 +16,6 @@ from .dispatcher import (
 
 __all__ = [
     "FabricStats",
-    "FabricStream",
     "HostStats",
     "RemoteDispatcher",
     "normalize_hosts",

@@ -23,17 +23,19 @@ Failure semantics
 * 4xx answers are deterministic validation errors: they become
   ``ok=False`` results immediately, never retries.
 
-Dedupe rides the content digests end to end: duplicate tasks within one
+Dedupe, sticky placement and the ordered merge are the engine's own
+scheduling core (:mod:`repro.engine.dispatch`), so a task list gets the
+same records here as from the local runner.  Duplicate tasks within one
 run are dispatched once and their results fanned out locally
-(``cached=True``), and a task re-dispatched after a host loss is served
-from the surviving host's cache if any host solved it before — the
-digest is the same everywhere.
-
-Sticky structure affinity carries over from the local runner: tasks
-tagged with a ``structure_group`` prefer the host their group last ran
-on (that host's resident-model cache holds the warm chain), but an idle
-host steals and rebinds rather than letting work queue — placement is
-shaped, never starved.
+(``cached=True``, without the original's trace; the copy still names
+the host that solved the original), and a task re-dispatched after a
+host loss is served from the surviving host's cache if any host solved
+it before — the digest is the same everywhere.  Tasks tagged with a
+``structure_group`` prefer the host their group last ran on (that
+host's resident-model cache holds the warm chain); a down host's groups
+count as unbound, and an idle host steals and rebinds rather than
+letting work queue — placement is shaped, never starved.  This module
+keeps only windows, probes, retries and the blackout rule.
 
 Instrumented with :mod:`repro.obs`: per-host dispatched / completed /
 retried counters, in-flight and host-up gauges, and a per-host task
@@ -47,10 +49,10 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterator, Sequence
 
+from ..engine.dispatch import AffinityQueue, DedupePlan, ResultStream, reanchor
 from ..engine.workers import Task, TaskResult, failure_result
 from ..io import instance_to_payload
 from ..obs import REGISTRY as OBS
@@ -58,7 +60,6 @@ from ..serve.client import ServeClient, ServeClientError
 
 __all__ = [
     "FabricStats",
-    "FabricStream",
     "HostStats",
     "RemoteDispatcher",
     "normalize_hosts",
@@ -229,35 +230,12 @@ class _Host:
         self.probing = False
 
 
-class FabricStream:
-    """Iterator over a fabric run's results, carrying its stats.
-
-    The fabric twin of :class:`repro.engine.runner.ResultStream`:
-    ``for result in stream`` yields task-ordered results incrementally,
-    ``stream.stats`` is safe to read while the run is live and
-    authoritative once it ends, and :meth:`close` abandons the run
-    (in-flight requests are left to finish server-side; their results
-    are dropped).
-    """
-
-    def __init__(self, gen: Iterator[TaskResult], stats: FabricStats) -> None:
-        self._gen = gen
-        self.stats = stats
-
-    def __iter__(self) -> "FabricStream":
-        return self
-
-    def __next__(self) -> TaskResult:
-        return next(self._gen)
-
-    def close(self) -> None:
-        self._gen.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
+def _reuse(result: TaskResult, task: Task) -> TaskResult:
+    """A dedupe copy: the engine's, still naming the solving host."""
+    copy = reanchor(result, task)
+    return replace(
+        copy, meta=dict(copy.meta, fabric_host=result.meta["fabric_host"])
+    )
 
 
 class _Run:
@@ -266,21 +244,25 @@ class _Run:
     def __init__(self, tasks: Sequence[Task]) -> None:
         self.tasks = list(tasks)
         self.payloads = [task_payload(t) for t in self.tasks]
-        self.results: list[TaskResult | None] = [None] * len(self.tasks)
-        self.pending: Deque[tuple[int, int]] = deque()  # (pos, attempt)
-        self.dups_by_first: dict[int, list[int]] = {}
-        self.unresolved = len(self.tasks)
+        self.plan = DedupePlan(self.tasks, reuse=_reuse)
+        self.queue = AffinityQueue(self.tasks)  # (pos, attempt) entries
+        for pos in self.plan.admit():
+            self.queue.push(pos, 0)
         self.cond = threading.Condition()
         self.closed = threading.Event()
         self.stats = FabricStats(total=len(self.tasks))
-        #: structure_group -> host label its warm chain last ran on.
-        self.affinity: dict[str, str] = {}
         #: Wall-clock instant every host went down (None while any is up).
         self.all_down_since: float | None = None
 
     @property
     def finished(self) -> bool:
-        return self.unresolved == 0 or self.closed.is_set()
+        return self.plan.done or self.closed.is_set()
+
+    def close(self) -> None:
+        """Stop the window threads (undispatched work is dropped)."""
+        self.closed.set()
+        with self.cond:
+            self.cond.notify_all()
 
 
 class RemoteDispatcher:
@@ -356,7 +338,7 @@ class RemoteDispatcher:
         """Execute ``tasks`` across the fabric; results in task order."""
         return list(self.run_stream(tasks))
 
-    def run_stream(self, tasks: Sequence[Task]) -> FabricStream:
+    def run_stream(self, tasks: Sequence[Task]) -> ResultStream:
         """Yield results for ``tasks`` in task order, incrementally.
 
         Mirrors :meth:`BatchRunner.run_stream`: each result is yielded
@@ -367,19 +349,8 @@ class RemoteDispatcher:
         run = _Run(tasks)
         self.last_stats = run.stats
         hosts = self._plan_hosts(run)
-
-        # Plan: digest dedupe — only first occurrences enter the deque.
-        first_by_digest: dict[str, int] = {}
-        for pos, task in enumerate(run.tasks):
-            first = first_by_digest.get(task.digest)
-            if first is not None:
-                run.dups_by_first.setdefault(first, []).append(pos)
-                continue
-            first_by_digest[task.digest] = pos
-            run.pending.append((pos, 0))
-
         threads: list[threading.Thread] = []
-        if run.pending:
+        if run.queue:
             for host in hosts:
                 for slot in range(host.window):
                     thread = threading.Thread(
@@ -390,10 +361,7 @@ class RemoteDispatcher:
                     )
                     thread.start()
                     threads.append(thread)
-        else:
-            run.unresolved = 0  # nothing to do (empty task list)
-
-        return FabricStream(self._merge(run, hosts, threads), run.stats)
+        return ResultStream(self._merge(run, threads), run.stats, run.close)
 
     # ------------------------------------------------------------------
     def _plan_hosts(self, run: _Run) -> list[_Host]:
@@ -442,10 +410,10 @@ class RemoteDispatcher:
                             break
                         run.cond.wait(0.2)
                         continue
-                    item = self._take(run, host)
-                    if item is None:
+                    if not run.queue:
                         run.cond.wait(0.2)
                         continue
+                    item = run.queue.take(host, lambda h: not h.down)
                     break
             if probe:
                 try:
@@ -456,41 +424,6 @@ class RemoteDispatcher:
                         run.cond.notify_all()
             elif item is not None:
                 self._dispatch(run, host, *item)
-
-    def _take(self, run: _Run, host: _Host) -> tuple[int, int] | None:
-        """Pop the best pending task for ``host`` (caller holds the lock).
-
-        Sticky by structure group, mirroring the local watchdog pool:
-        prefer (1) a task whose group is bound to this host, then (2)
-        one whose group is unbound (or has no group), else (3) steal the
-        queue head from its bound host and rebind — work-conserving, a
-        free window slot never idles while work is queued.
-        """
-        if not run.pending:
-            return None
-        own: int | None = None
-        fallback: int | None = None
-        for i, (pos, _) in enumerate(run.pending):
-            group = run.tasks[pos].structure_group
-            if group is None:
-                if fallback is None:
-                    fallback = i
-                continue
-            bound = run.affinity.get(group)
-            if bound == host.label:
-                own = i
-                break
-            if fallback is None and bound is None:
-                fallback = i
-        index = own if own is not None else (
-            fallback if fallback is not None else 0
-        )
-        pos, attempt = run.pending[index]
-        del run.pending[index]
-        group = run.tasks[pos].structure_group
-        if group is not None:
-            run.affinity[group] = host.label
-        return pos, attempt
 
     def _dispatch(
         self, run: _Run, host: _Host, pos: int, attempt: int
@@ -543,7 +476,7 @@ class RemoteDispatcher:
             with run.cond:
                 run.stats.hosts[label].completed += 1
                 run.stats.completed += 1
-            self._deliver(run, pos, self._reanchor(result, task, host))
+            self._deliver(run, pos, self._localize(result, task, host))
         finally:
             _IN_FLIGHT.labels(host=label).dec()
 
@@ -585,7 +518,7 @@ class RemoteDispatcher:
                     ),
                 )
             else:
-                run.pending.append((pos, attempts))
+                run.queue.push(pos, attempts)
             run.cond.notify_all()
 
     def _probe(self, run: _Run, host: _Host) -> None:
@@ -623,7 +556,7 @@ class RemoteDispatcher:
     # Result delivery + ordered merge
     # ------------------------------------------------------------------
     @staticmethod
-    def _reanchor(result: TaskResult, task: Task, host: _Host) -> TaskResult:
+    def _localize(result: TaskResult, task: Task, host: _Host) -> TaskResult:
         """A remote result re-anchored to the local task's slot.
 
         The server answered with its own ``index`` (0 for ``/solve``);
@@ -639,54 +572,34 @@ class RemoteDispatcher:
             self._deliver_locked(run, pos, result)
             run.cond.notify_all()
 
-    def _deliver_locked(
-        self, run: _Run, pos: int, result: TaskResult
-    ) -> None:
-        """Store one result and fan it out to duplicates (lock held).
+    @staticmethod
+    def _deliver_locked(run: _Run, pos: int, result: TaskResult) -> None:
+        """Store one result in the plan, re-queueing the duplicates of a
+        failure (lock held).
 
-        A late result for an already-resolved slot (the task was
-        re-dispatched and both attempts eventually answered) is dropped
-        — exactly-one-result-per-task is the invariant the ordered
-        merge depends on.
+        A position is always queued, held by one window thread, or
+        resolved, so no path delivers it twice.
         """
-        if run.results[pos] is not None:
-            return
-        run.results[pos] = result
-        run.unresolved -= 1
-        for dup in run.dups_by_first.pop(pos, ()):
-            if result.ok:
-                dup_task = run.tasks[dup]
-                meta = dict(dup_task.meta or result.meta)
-                meta["fabric_host"] = result.meta.get("fabric_host", "")
-                run.results[dup] = replace(
-                    result, index=dup_task.index, cached=True, meta=meta
-                )
-                run.unresolved -= 1
-                run.stats.dedup_hits += 1
-            else:
-                # Mirror the local runner: failures are retried for
-                # duplicates, never reused.
-                run.pending.append((dup, 0))
+        copies, retry = run.plan.store(pos, result)
+        run.stats.dedup_hits += copies
+        for dup in retry:
+            run.queue.push(dup, 0)
 
     def _merge(
-        self, run: _Run, hosts: list[_Host], threads: list[threading.Thread]
+        self, run: _Run, threads: list[threading.Thread]
     ) -> Iterator[TaskResult]:
         """Emit results in task order as each prefix completes."""
-        emitted = 0
-        total = len(run.tasks)
         try:
-            while emitted < total:
+            while run.plan.emitted < len(run.tasks):
                 with run.cond:
-                    while run.results[emitted] is None:
+                    ready = run.plan.ready()
+                    while not ready:
                         self._check_blackout(run)
                         run.cond.wait(0.25)
-                    result = run.results[emitted]
-                yield result
-                emitted += 1
+                        ready = run.plan.ready()
+                yield from ready
         finally:
-            run.closed.set()
-            with run.cond:
-                run.cond.notify_all()
+            run.close()
             for thread in threads:
                 thread.join(timeout=0.5)
 
@@ -701,8 +614,8 @@ class RemoteDispatcher:
             return
         if time.monotonic() - run.all_down_since < self.all_down_grace:
             return
-        while run.pending:
-            pos, attempts = run.pending.popleft()
+        while run.queue:
+            pos, attempts = run.queue.popleft()
             run.stats.gave_up += 1
             self._deliver_locked(
                 run,

@@ -219,10 +219,14 @@ class TestExecuteLengthInvariant:
     def test_sealed_fills_gaps_with_positioned_failures(
         self, small_instances
     ):
+        from repro.engine.dispatch import DedupePlan
+
         tasks = _tasks(small_instances)
         results = [execute_task(t) for t in tasks]
-        holed = [results[0], None, results[2]]
-        sealed = BatchRunner._sealed(holed, tasks)
+        plan = DedupePlan(tasks)
+        for pos in (0, 2):  # slot 1 was lost
+            plan.store(pos, results[pos])
+        sealed = plan.seal()
         assert len(sealed) == len(tasks)
         assert sealed[0] is results[0] and sealed[2] is results[2]
         assert not sealed[1].ok
@@ -566,75 +570,68 @@ class TestStructureAffinity:
         ).structure_group is None
 
     def _grouped_work(self, small_instances, groups):
-        from collections import deque
-
         from repro.engine import make_task
+        from repro.engine.dispatch import AffinityQueue
 
-        return deque(
-            (
-                i,
-                make_task(
-                    i, "active", "minimal", 2, small_instances[0],
-                    meta=(
-                        {"structure_group": g} if g is not None else {}
-                    ),
-                ),
+        tasks = [
+            make_task(
+                i, "active", "minimal", 2, small_instances[0],
+                meta=({"structure_group": g} if g is not None else {}),
             )
             for i, g in enumerate(groups)
-        )
+        ]
+        work = AffinityQueue(tasks)
+        for i, task in enumerate(tasks):
+            work.push(i, task)
+        return work
+
+    @staticmethod
+    def _live(*held):
+        """The runner's liveness rule: a worker the stream still holds."""
+        return lambda w: any(w is h for h in held)
 
     def test_take_task_prefers_bound_group(self, small_instances):
-        from repro.engine.runner import BatchRunner
-
         w1, w2 = object(), object()
-        held = [w1, w2]
+        live = self._live(w1, w2)
         work = self._grouped_work(small_instances, ["A", "B", "A"])
-        affinity = {}
         # w1 takes the head and binds group A
-        pos, task = BatchRunner._take_task(work, w1, affinity, held)
-        assert pos == 0 and affinity["A"] is w1
+        pos, task = work.take(w1, live)
+        assert pos == 0 and work.bound["A"] is w1
         # w2 skips A's continuation (bound to live w1) and takes B
-        pos, task = BatchRunner._take_task(work, w2, affinity, held)
-        assert pos == 1 and affinity["B"] is w2
+        pos, task = work.take(w2, live)
+        assert pos == 1 and work.bound["B"] is w2
         # w1 gets its own group's continuation
-        pos, task = BatchRunner._take_task(work, w1, affinity, held)
+        pos, task = work.take(w1, live)
         assert pos == 2 and not work
 
     def test_take_task_steals_rather_than_idles(self, small_instances):
-        from repro.engine.runner import BatchRunner
-
         w1, w2 = object(), object()
-        held = [w1, w2]
+        live = self._live(w1, w2)
         work = self._grouped_work(small_instances, ["A", "A"])
-        affinity = {}
-        BatchRunner._take_task(work, w1, affinity, held)
+        work.take(w1, live)
         # every queued task belongs to w1's group, but w2 must not idle:
         # it steals the head and the group rebinds
-        pos, task = BatchRunner._take_task(work, w2, affinity, held)
-        assert pos == 1 and affinity["A"] is w2
+        pos, task = work.take(w2, live)
+        assert pos == 1 and work.bound["A"] is w2
 
     def test_take_task_rebinds_groups_of_departed_workers(
         self, small_instances
     ):
-        from repro.engine.runner import BatchRunner
-
         gone, alive = object(), object()
-        held = [alive]  # ``gone`` was killed/replaced or shed
+        live = self._live(alive)  # ``gone`` was killed/replaced or shed
         work = self._grouped_work(small_instances, ["A"])
-        affinity = {"A": gone}
-        pos, task = BatchRunner._take_task(work, alive, affinity, held)
-        assert pos == 0 and affinity["A"] is alive
+        work.bound["A"] = gone
+        pos, task = work.take(alive, live)
+        assert pos == 0 and work.bound["A"] is alive
 
     def test_take_task_prefers_ungrouped_over_foreign_group(
         self, small_instances
     ):
-        from repro.engine.runner import BatchRunner
-
         w1, w2 = object(), object()
-        held = [w1, w2]
+        live = self._live(w1, w2)
         work = self._grouped_work(small_instances, ["A", None])
-        affinity = {"A": w1}
-        pos, task = BatchRunner._take_task(work, w2, affinity, held)
+        work.bound["A"] = w1
+        pos, task = work.take(w2, live)
         assert pos == 1 and task.structure_group is None
 
     def test_take_task_pops_head_without_scanning_when_nothing_is_bound(
@@ -644,22 +641,40 @@ class TestStructureAffinity:
         # walk the queue: a walk per dispatch makes a drain O(n^2).
         from collections import deque
 
-        from repro.engine.runner import BatchRunner
-
         class NoScan(deque):
             def __iter__(self):
                 raise AssertionError("queue scanned with no group bound")
 
         w1, w2 = object(), object()
-        held = [w1, w2]
-        work = NoScan(self._grouped_work(small_instances, [None, "A", None]))
-        affinity = {}
-        pos, task = BatchRunner._take_task(work, w1, affinity, held)
-        assert pos == 0 and affinity == {}
+        live = self._live(w1, w2)
+        work = self._grouped_work(small_instances, [None, "A", None])
+        work._pending = NoScan(work._pending)
+        pos, task = work.take(w1, live)
+        assert pos == 0 and work.bound == {}
         # the head's group (if any) is bound exactly as the scan would
-        pos, task = BatchRunner._take_task(work, w2, affinity, held)
-        assert pos == 1 and affinity == {"A": w2}
-        assert len(work) == 1 and work[0][0] == 2
+        pos, task = work.take(w2, live)
+        assert pos == 1 and work.bound == {"A": w2}
+        assert len(work) == 1 and work.popleft()[0] == 2
+
+    def test_take_rebinds_a_down_owners_group_in_queue_order(
+        self, small_instances
+    ):
+        # Host A binds g with task 0 and then goes down: g counts as
+        # unbound, so host B keeps queue order instead of draining every
+        # ungrouped task first.
+        a, b = object(), object()
+        up = [a, b]
+        work = self._grouped_work(
+            small_instances, ["g", "g", "g", None, None, None]
+        )
+
+        def live(owner):
+            return any(owner is h for h in up)
+
+        assert work.take(a, live)[0] == 0
+        up.remove(a)
+        assert [work.take(b, live)[0] for _ in range(5)] == [1, 2, 3, 4, 5]
+        assert work.bound["g"] is b
 
     def test_grouped_tasks_route_to_watchdog_when_parallel(
         self, small_instances

@@ -67,6 +67,7 @@ class FakeServer:
             n=len(payload["instance"]["jobs"]),
             ok=True,
             objective=float(key),
+            metrics={"trace": {"spans": [{"name": "total", "dur": 0.0}]}},
             meta=dict(payload.get("meta", {})),
         )
 
@@ -93,12 +94,18 @@ def make_dispatcher(servers, **kwargs):
     )
 
 
-def make_tasks(count, *, g=2, start=0):
-    """``count`` distinct-digest tasks, keyed by ``meta["k"]``."""
+def make_tasks(count, *, g=2, start=0, groups=None):
+    """``count`` distinct-digest tasks, keyed by ``meta["k"]``.
+
+    ``groups`` optionally names each task's structure group (or None).
+    """
     tasks = []
     for i in range(count):
         k = start + i
         inst = Instance.from_tuples([(0, 4 + k, 2), (1, 5 + k, 3)])
+        meta = {"k": k}
+        if groups is not None and groups[i] is not None:
+            meta["structure_group"] = groups[i]
         tasks.append(
             make_task(
                 index=i,
@@ -106,7 +113,7 @@ def make_tasks(count, *, g=2, start=0):
                 algorithm="first_fit",
                 g=g,
                 instance=inst,
-                meta={"k": k},
+                meta=meta,
             )
         )
     return tasks
@@ -268,6 +275,13 @@ class TestDedupe:
         assert results[4].objective == results[1].objective
         assert results[4].meta["k"] == 99  # local meta preserved
         assert dispatcher.last_stats.dedup_hits == 1
+        # The copy is the engine's: it owns its metrics dict and drops
+        # the server-side trace of a solve it did not make, but still
+        # names the host that solved the original.
+        assert "trace" in results[1].metrics
+        assert "trace" not in results[4].metrics
+        assert results[4].metrics is not results[1].metrics
+        assert results[4].meta["fabric_host"] == "hosta:8977"
 
     def test_failed_first_occurrence_requeues_duplicate(self):
         servers = {URL_A: FakeServer(jobs=1)}
@@ -289,6 +303,59 @@ class TestDedupe:
         assert "rejected" in results[0].error
         assert results[2].ok is True
         assert results[2].cached is False
+
+
+class TestPlacement:
+    def test_ungrouped_picks_never_scan_the_queue(self, monkeypatch):
+        # With no structure group bound, every pick pops the head: a
+        # walk per dispatch would make a drain O(n^2) under the lock.
+        from collections import deque
+
+        import repro.fabric.dispatcher as dispatcher_module
+        from repro.engine.dispatch import AffinityQueue
+
+        scans = []
+
+        class NoScan(deque):
+            def __iter__(self):
+                scans.append(len(self))
+                return super().__iter__()
+
+        class NoScanQueue(AffinityQueue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self._pending = NoScan()
+
+        monkeypatch.setattr(dispatcher_module, "AffinityQueue", NoScanQueue)
+        servers = {URL_A: FakeServer(jobs=2), URL_B: FakeServer(jobs=2)}
+        results = make_dispatcher(servers).run(make_tasks(40))
+        assert [r.index for r in results] == list(range(40))
+        assert all(r.ok for r in results)
+        assert scans == []
+
+    def test_down_hosts_group_rebinds_in_queue_order(self):
+        # Host A binds group g with task 0, and that solve takes A down
+        # (task 0 re-queues at the back).  B is dark until then; once up
+        # it must treat g as unbound and keep queue order rather than
+        # drain every ungrouped task first.
+        servers = {URL_A: FakeServer(jobs=1), URL_B: FakeServer(jobs=1)}
+        a, b = servers[URL_A], servers[URL_B]
+        b.health_failures = 10**6
+
+        def dying_solve(payload):
+            with a.lock:
+                a.down = True
+            with b.lock:
+                b.health_failures = 0
+            raise ServeClientError("connection reset", status=0)
+
+        a.solve_payload = dying_solve
+        tasks = make_tasks(6, groups=["g", "g", "g", None, None, None])
+        results = make_dispatcher(servers).run(tasks)
+        assert all(r.ok for r in results)
+        assert a.solved == []
+        # g's continuation (and the re-queued task 0, now B's own) first
+        assert b.solved == [1, 2, 0, 3, 4, 5]
 
 
 class TestFailureHandling:
