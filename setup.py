@@ -19,7 +19,7 @@ setup(
         "scipy>=1.9",
     ],
     extras_require={
-        "test": ["pytest", "hypothesis", "networkx"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "networkx"],
         "viz": ["matplotlib"],
         "mip": ["mip>=1.14"],
         "highs": ["highspy>=1.7"],

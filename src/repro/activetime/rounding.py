@@ -29,6 +29,7 @@ the LP mass seen so far.  Both are checked at runtime; violations raise in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -147,23 +148,16 @@ def round_active_time(
     opened: set[int] = set()
     proxy: Optional[tuple[int, float]] = None  # (pointer slot, value)
 
-    # Prefix feasibility oracles, one per deadline block, built lazily.
-    prefix_oracles: dict[int, ActiveTimeFeasibility] = {}
+    # One oracle answers every probe: the Lemma-5 and try-close checks pass
+    # block i's job prefix, and the final extraction reuses the same flow.
+    oracle = ActiveTimeFeasibility(instance, g)
+    by_deadline = sorted(instance.jobs, key=lambda j: j.integral_window()[1])
+    deadlines = [j.integral_window()[1] for j in by_deadline]
+    ids = [j.id for j in by_deadline]
 
     def prefix_feasible(i: int, slots: set[int]) -> bool:
-        _, b = blocks[i]
-        oracle = prefix_oracles.get(i)
-        if oracle is None:
-            prefix = Instance(
-                tuple(
-                    j for j in instance.jobs if j.integral_window()[1] <= b
-                )
-            )
-            if prefix.n == 0:
-                return True
-            oracle = ActiveTimeFeasibility(prefix, g)
-            prefix_oracles[i] = oracle
-        return oracle.is_feasible(slots)
+        k = bisect_right(deadlines, blocks[i][1])
+        return k == 0 or oracle.is_feasible(slots, jobs=ids[:k])
 
     for i, ((a, b), y_mass) in enumerate(zip(blocks, masses)):
         proxy_in = proxy
@@ -256,7 +250,6 @@ def round_active_time(
     # Final extraction; repair loop is a safety net that theory says is
     # never taken (tests assert repair_slots == []).
     # ------------------------------------------------------------------
-    oracle = ActiveTimeFeasibility(instance, g)
     repair_slots: list[int] = []
     if not oracle.is_feasible(opened):
         for t in range(1, instance.horizon + 1):

@@ -10,7 +10,11 @@ tuned for repeated solves on small-to-medium networks:
 * adjacency is stored in flat ``list`` arrays (edge-struct-of-arrays layout),
 * BFS level graph + iterative DFS blocking flow (no recursion limits),
 * integer capacities throughout, so the returned flow is integral — the
-  property the rounding proof leans on ("by integrality of flow").
+  property the rounding proof leans on ("by integrality of flow"),
+* flows persist between solves: :meth:`Dinic.augment` grows the flow already
+  routed to a maximum one, so a caller that changes a few capacities (and
+  cancels the flow above them with :meth:`Dinic.push`) re-solves from its
+  previous answer; :meth:`Dinic.max_flow` is a reset plus one ``augment``.
 
 Dinic's algorithm runs in ``O(V^2 E)`` in general and ``O(E sqrt(V))`` on unit
 bipartite networks, far better than needed at the instance sizes the paper's
@@ -57,8 +61,9 @@ class Dinic:
         result = net.max_flow(source, sink)
         result.flows[e]     # flow routed on that edge
 
-    ``max_flow`` may be called again after :meth:`set_capacity` updates; the
-    network resets all flows at the start of each call.
+    ``max_flow`` may be called again after :meth:`set_capacity` updates; it
+    resets all flows first.  :meth:`augment` instead continues from the flow
+    left by the previous solve.
     """
 
     def __init__(self, n_nodes: int):
@@ -104,73 +109,102 @@ class Dinic:
         return handle
 
     def set_capacity(self, handle: int, capacity: int) -> None:
-        """Update the capacity of a previously added edge."""
+        """Update the capacity of a previously added edge, keeping its flow.
+
+        Lowering a capacity below the flow the edge carries is only allowed
+        before :meth:`max_flow` (which resets every flow); before
+        :meth:`augment`, cancel the excess with :meth:`push` first.
+        """
         if handle % 2 != 0:
             raise ValueError("handles refer to forward edges (even indices)")
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
+        self._cap[handle] += capacity - self._orig_cap[handle]
         self._orig_cap[handle] = capacity
 
     def capacity(self, handle: int) -> int:
         """Current configured capacity of an edge."""
         return self._orig_cap[handle]
 
+    def flow(self, handle: int) -> int:
+        """Flow currently routed on a forward edge."""
+        return self._orig_cap[handle] - self._cap[handle]
+
+    def push(self, path: Iterable[int], amount: int) -> None:
+        """Route ``amount`` more units along a path of edge handles.
+
+        A negative ``amount`` cancels flow.  The caller keeps the result a
+        flow: conservation at inner nodes and ``0 <= flow <= capacity``.
+        """
+        cap = self._cap
+        for e in path:
+            cap[e] -= amount
+            cap[e ^ 1] += amount
+
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
     def max_flow(self, source: int, sink: int) -> MaxFlowResult:
-        """Compute a maximum ``source -> sink`` flow.
+        """Compute a maximum ``source -> sink`` flow from scratch.
 
-        Resets residual capacities from the configured capacities first, so
-        repeated calls (after :meth:`set_capacity` updates) are independent.
+        Resets every flow to zero and then runs :meth:`augment`, so repeated
+        calls (after :meth:`set_capacity` updates) are independent.
+        """
+        self._cap[:] = self._orig_cap
+        total = self.augment(source, sink)
+        flows = [
+            self._orig_cap[e] - self._cap[e] if e % 2 == 0 else 0
+            for e in range(len(self._cap))
+        ]
+        return MaxFlowResult(total, flows)
+
+    def augment(self, source: int, sink: int, limit: int | None = None) -> int:
+        """Augment the current flow towards a maximum one; returns the gain.
+
+        Starts from the flow already routed (by earlier calls or
+        :meth:`push`), so a caller that changed a few capacities re-solves
+        from its previous maximum flow instead of from zero.  With ``limit``
+        it stops once that many units were added, which spares the final
+        search when the caller knows the value it needs.
         """
         if source == sink:
             raise ValueError("source and sink must differ")
         cap = self._cap
-        cap[:] = self._orig_cap  # reset flows
-
         head = self._head
         adj = self._adj
         n = self.n
-        level = [-1] * n
-        it = [0] * n
         total = 0
+        goal = float("inf") if limit is None else limit
 
-        INF = float("inf")
-
-        while True:
-            # --- BFS: build level graph -------------------------------
-            for i in range(n):
-                level[i] = -1
+        while total < goal:
+            # --- BFS: level graph up to the sink's level ---------------
+            level = [-1] * n
             level[source] = 0
             queue = deque([source])
             while queue:
                 u = queue.popleft()
+                if u == sink:
+                    break
+                next_level = level[u] + 1
                 for e in adj[u]:
                     v = head[e]
                     if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
+                        level[v] = next_level
                         queue.append(v)
             if level[sink] < 0:
                 break
 
             # --- DFS: blocking flow (iterative) -----------------------
-            for i in range(n):
-                it[i] = 0
-            while True:
-                pushed = self._dfs_push(source, sink, INF, level, it)
+            it = [0] * n
+            while total < goal:
+                pushed = self._dfs_push(source, sink, goal - total, level, it)
                 if pushed == 0:
                     break
                 total += pushed
+        return total
 
-        flows = [
-            self._orig_cap[e] - cap[e] if e % 2 == 0 else 0
-            for e in range(len(cap))
-        ]
-        return MaxFlowResult(total, flows)
-
-    def _dfs_push(self, source, sink, INF, level, it):
-        """One augmenting push along the level graph, iteratively."""
+    def _dfs_push(self, source, sink, bound, level, it):
+        """One augmenting push of at most ``bound`` along the level graph."""
         cap, head, adj = self._cap, self._head, self._adj
         # path of (node, edge) frames
         stack: list[int] = [source]
@@ -179,10 +213,8 @@ class Dinic:
             u = stack[-1]
             if u == sink:
                 # bottleneck along path_edges
-                bottleneck = min(cap[e] for e in path_edges)
-                for e in path_edges:
-                    cap[e] -= bottleneck
-                    cap[e ^ 1] += bottleneck
+                bottleneck = min(bound, min(cap[e] for e in path_edges))
+                self.push(path_edges, bottleneck)
                 return bottleneck
             advanced = False
             while it[u] < len(adj[u]):

@@ -115,6 +115,42 @@ class TestReuse:
         assert net.capacity(e) == 5
 
 
+class TestAugment:
+    def test_augment_continues_from_the_current_flow(self):
+        net = Dinic(3)
+        a = net.add_edge(0, 1, 4)
+        b = net.add_edge(1, 2, 2)
+        assert net.augment(0, 2) == 2
+        net.set_capacity(b, 3)  # keeps the 2 units already routed
+        assert net.flow(b) == 2
+        assert net.augment(0, 2) == 1
+        assert net.flow(a) == net.flow(b) == 3
+
+    def test_limit_stops_early(self):
+        net = Dinic(2)
+        e = net.add_edge(0, 1, 9)
+        assert net.augment(0, 1, limit=4) == 4
+        assert net.flow(e) == 4
+        assert net.augment(0, 1, limit=0) == 0
+
+    def test_push_cancels_flow_along_a_path(self):
+        net = Dinic(3)
+        a = net.add_edge(0, 1, 3)
+        b = net.add_edge(1, 2, 3)
+        assert net.augment(0, 2) == 3
+        net.push((a, b), -2)
+        assert net.flow(a) == net.flow(b) == 1
+        net.set_capacity(b, 1)
+        assert net.augment(0, 2) == 0
+
+    def test_max_flow_resets_what_augment_routed(self):
+        net = Dinic(2)
+        e = net.add_edge(0, 1, 5)
+        net.augment(0, 1, limit=2)
+        result = net.max_flow(0, 1)
+        assert result.value == 5 and result.flows[e] == 5
+
+
 class TestMinCut:
     def test_reachable_side(self):
         net = Dinic(4)

@@ -110,3 +110,11 @@ class TestValidation:
     def test_rejects_bad_capacity(self, tiny_instance):
         with pytest.raises(ValueError):
             ActiveTimeFeasibility(tiny_instance, 0)
+
+    def test_rejects_unknown_job_ids_without_losing_state(self, tiny_instance):
+        oracle = ActiveTimeFeasibility(tiny_instance, 2)
+        assert oracle.is_feasible(range(1, 7), jobs=[0])
+        with pytest.raises(ValueError, match="unknown job ids"):
+            oracle.is_feasible([1], jobs=[0, 99])
+        assert oracle.max_flow_value([1], jobs=[0]) == 1
+        assert oracle.is_feasible(range(1, 7))
