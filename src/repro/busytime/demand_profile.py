@@ -3,7 +3,9 @@
 For an interval-job instance, the *raw demand* ``|A(t)|`` counts jobs whose
 interval covers ``t``; the *demand* is ``D(t) = ceil(|A(t)| / g)``.  Demand is
 constant on each interesting interval, so the whole profile is a list of
-``(segment, raw_demand)`` pairs — at most ``2n`` of them.
+``(segment, raw_demand)`` pairs — at most ``2n`` of them — counted in one
+O(n log n) pass by :func:`repro.core.intervals.raw_demand_segments` (two
+bisections per segment).
 
 The profile cost ``sum_i D(I_i) * ℓ(I_i)`` lower-bounds the optimal busy time
 (Observation 4) and is the quantity the 2-approximation algorithms charge.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..core.intervals import interesting_intervals
+from ..core.intervals import raw_demand_segments
 from ..core.jobs import Instance, Job
 from ..core.validation import require_capacity, require_interval_jobs
 
@@ -91,11 +93,8 @@ def compute_demand_profile(instance: Instance, g: int) -> DemandProfile:
     """Compute the demand profile of an interval instance (Definition 13)."""
     require_interval_jobs(instance, "demand profile")
     require_capacity(g)
-    segments = interesting_intervals(instance)
-    raw = tuple(
-        instance.raw_demand_at(0.5 * (a + b)) for a, b in segments
-    )
-    return DemandProfile(segments=tuple(segments), raw=raw, g=g)
+    segments, raw = raw_demand_segments(instance)
+    return DemandProfile(segments=tuple(segments), raw=tuple(raw), g=g)
 
 
 def pad_to_multiple_of_g(

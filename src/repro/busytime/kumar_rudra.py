@@ -8,12 +8,12 @@ at most two mutually overlapping jobs per level, then resolves each group of
 
     sum_k 2 * Sp({t : |A(t)| >= (k-1)g + 1})  =  2 * profile.
 
-This module implements that scheme with a greedy level chooser (process jobs
-by release time; take the lowest admissible level).  When the greedy cannot
-honour the level-region constraint it falls back to the lowest level with a
-free overlap slot, which can in principle exceed the region — the returned
-schedule therefore carries a runtime certificate check against the rigorous
-bound ``2 * profile``, and :func:`repro.busytime.two_approx.chain_peeling_two_approx`
+This module implements that scheme with a greedy level chooser: process jobs
+by release time and give each the lowest level with room for it.  Whenever
+some level inside the demand region has room, the lowest level with room is
+one of them; when none has, the level taken can lie outside the region, so
+the returned schedule carries a runtime certificate check against the
+rigorous bound ``2 * profile``, and :func:`repro.busytime.two_approx.chain_peeling_two_approx`
 provides the variant whose guarantee holds unconditionally by construction.
 Dummy-job padding (Appendix A.1) is applied first so the raw demand is a
 multiple of ``g`` everywhere, exactly as the paper prescribes.
@@ -21,10 +21,18 @@ multiple of ``g`` everywhere, exactly as the paper prescribes.
 Per-level overlap graphs are triangle-free interval graphs (at most 2 jobs
 overlap pointwise), hence chordal and triangle-free — i.e. forests — so the
 2-coloring always exists.
+
+Cost: padding leaves ``n' <= (2g - 1) n`` jobs.  The level pass keeps two
+deadlines per level and scans the ``L`` levels for each job (``L`` is at
+most the peak padded demand, ``max_t |A(t)| + g - 1``), and each level's
+overlap edges come from one release-ordered sweep, so a call is
+``O(n' log n' + n' L)``: near-linear while the peak demand is bounded.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 
 from ..core.jobs import TIME_EPS, Instance, Job
@@ -43,57 +51,33 @@ def assign_levels(padded: Instance, g: int) -> dict[int, int]:
     """Assign each padded job to a level (1-based), <= 2 overlapping per level.
 
     Jobs are processed by release time; each takes the lowest level that
-    (a) lies inside the demand region along the whole job (level <= min raw
-    demand over the job's span) and (b) currently has at most one assigned
-    job live at the release time.  Because every previously assigned job
-    overlapping the newcomer is live at its release, (b) caps the pointwise
-    overlap per level at two globally.  If no level satisfies both, (a) is
-    dropped (certificate still checked downstream).
+    currently has at most one assigned job live at the release time, or a
+    new level when none has.  Because every previously assigned job
+    overlapping the newcomer is live at its release, this caps the pointwise
+    overlap per level at two globally.  The demand region needs no separate
+    check: it is a prefix of the levels (level <= min raw demand over the
+    job's span), so whenever a level inside it has room, the lowest level
+    with room is inside it too.
+
+    A level keeps only its two latest deadlines.  Jobs arrive in release
+    order and a level never holds more than two live jobs, so those two
+    deadlines decide whether a third job fits.
     """
-    profile = compute_demand_profile(padded, 1)  # raw demand per segment
-    segments = profile.segments
-    raw = profile.raw
-
-    def min_demand_over(job: Job) -> int:
-        vals = [
-            raw[i]
-            for i, (a, b) in enumerate(segments)
-            if a < job.deadline - TIME_EPS and b > job.release + TIME_EPS
-        ]
-        return min(vals) if vals else 0
-
     ordered = sorted(padded.jobs, key=lambda j: (j.release, -j.length, j.id))
     level_of: dict[int, int] = {}
-    # levels[l] = jobs assigned to level l+1 so far
-    levels: list[list[Job]] = []
-
-    def live_count(level_jobs: list[Job], t: float) -> int:
-        return sum(
-            1
-            for j in level_jobs
-            if j.release <= t + TIME_EPS and j.deadline > t + TIME_EPS
-        )
-
+    # latest[l] = (latest, second-latest) deadline on level l+1
+    latest: list[tuple[float, float]] = []
     for job in ordered:
-        ceiling = min_demand_over(job)
-        chosen: int | None = None
-        for l in range(min(ceiling, len(levels))):
-            if live_count(levels[l], job.release) <= 1:
-                chosen = l
-                break
-        if chosen is None and ceiling > len(levels):
-            chosen = len(levels)
-            levels.append([])
-        if chosen is None:
-            # fallback: lowest level anywhere with a free overlap slot
-            for l in range(len(levels)):
-                if live_count(levels[l], job.release) <= 1:
-                    chosen = l
-                    break
-            if chosen is None:
-                chosen = len(levels)
-                levels.append([])
-        levels[chosen].append(job)
+        t = job.release + TIME_EPS
+        chosen = next(
+            (l for l, (_, second) in enumerate(latest) if second <= t),
+            len(latest),
+        )
+        if chosen == len(latest):
+            latest.append((-math.inf, -math.inf))
+        first, second = latest[chosen]
+        d = job.deadline
+        latest[chosen] = (max(first, d), max(second, min(first, d)))
         level_of[job.id] = chosen + 1
     return level_of
 
@@ -101,16 +85,23 @@ def assign_levels(padded: Instance, g: int) -> dict[int, int]:
 def two_color_level(jobs: list[Job]) -> dict[int, int]:
     """2-color the overlap graph of one level's jobs (a forest).
 
-    Returns ``job id -> 0/1``.  Raises if the level is not 2-colorable,
-    which would mean three jobs overlap at a point — excluded by the level
-    assignment invariant.
+    Returns ``job id -> 0/1``; each component's first job in ``jobs`` order
+    gets colour 0.  Raises if the level is not 2-colorable, which would mean
+    three jobs overlap at a point — excluded by the level assignment
+    invariant.  The edges come from a release-ordered sweep that keeps the
+    jobs still live in a deadline heap, so each job is compared only with
+    the jobs live at its release.
     """
     adj: dict[int, list[int]] = {j.id: [] for j in jobs}
-    for i, a in enumerate(jobs):
-        for b in jobs[i + 1 :]:
-            if a.release < b.deadline - TIME_EPS and b.release < a.deadline - TIME_EPS:
+    live: list[tuple[float, int, Job]] = []
+    for i, b in sorted(enumerate(jobs), key=lambda p: p[1].release):
+        while live and live[0][0] <= b.release:
+            heapq.heappop(live)
+        for _, _, a in live:
+            if a.release < b.deadline - TIME_EPS:
                 adj[a.id].append(b.id)
                 adj[b.id].append(a.id)
+        heapq.heappush(live, (b.deadline - TIME_EPS, i, b))
     color: dict[int, int] = {}
     for j in jobs:
         if j.id in color:

@@ -109,6 +109,8 @@ class BusyTimeSchedule:
           original window (release/deadline respected, non-preemptive);
         * at most ``g`` jobs overlap at any instant within a bundle.
         """
+        # reversed: the first job with an id wins, as in Instance.job_by_id
+        originals = {j.id: j for j in reversed(self.instance.jobs)}
         seen: dict[int, int] = {}
         for k, bundle in enumerate(self.bundles):
             for pinned in bundle.jobs:
@@ -118,7 +120,9 @@ class BusyTimeSchedule:
                         f"{seen[pinned.id]} and {k}"
                     )
                 seen[pinned.id] = k
-                original = self.instance.job_by_id(pinned.id)
+                original = originals.get(pinned.id)
+                if original is None:
+                    raise KeyError(f"no job with id {pinned.id}")
                 if abs(pinned.length - original.length) > TIME_EPS:
                     raise BusyVerificationError(
                         f"job {pinned.id}: pinned length {pinned.length} != "
@@ -142,7 +146,7 @@ class BusyTimeSchedule:
                     f"bundle {k} has {bundle.max_overlap()} simultaneous "
                     f"jobs, capacity is {self.g}"
                 )
-        missing = {j.id for j in self.instance.jobs} - set(seen)
+        missing = originals.keys() - seen.keys()
         if missing:
             raise BusyVerificationError(
                 f"jobs never scheduled: {sorted(missing)}"

@@ -16,6 +16,7 @@ from .intervals import (
     intersection_length,
     length,
     merge_intervals,
+    raw_demand_segments,
     span,
     subtract,
     total_length,
@@ -44,6 +45,7 @@ __all__ = [
     "intersection_length",
     "length",
     "merge_intervals",
+    "raw_demand_segments",
     "span",
     "subtract",
     "total_length",

@@ -8,7 +8,8 @@ real intervals ``[a, b)``:
   projection onto the time axis (Definition 10);
 * *interesting intervals* (Definition 12) — maximal intervals in which no job
   begins or ends; the demand is uniform over each one, and there are at most
-  ``2n`` of them.
+  ``2n`` of them.  :func:`raw_demand_segments` finds them and counts each
+  one's raw demand ``|A(I)|`` (Definition 11) in a single O(n log n) pass.
 
 All functions treat intervals as ``(start, end)`` tuples with
 ``start <= end``; empty intervals are tolerated and contribute nothing.
@@ -16,6 +17,7 @@ All functions treat intervals as ``(start, end)`` tuples with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .jobs import TIME_EPS, Instance, Job
@@ -30,6 +32,7 @@ __all__ = [
     "subtract",
     "contains",
     "interesting_intervals",
+    "raw_demand_segments",
     "coverage_counts",
 ]
 
@@ -116,18 +119,40 @@ def interesting_intervals(instance: Instance) -> list[Interval]:
     release time and deadline; segments not covered by any job window are
     *excluded* (demand zero there, and no busy-time algorithm ever opens a
     machine over them).  There are at most ``2n - 1`` segments total.
+    Coverage is by window, so flexible instances work too (the flexible
+    MILP builders use them).  O(n log n): see :func:`raw_demand_segments`.
     """
-    if not instance.jobs:
-        return []
+    return raw_demand_segments(instance)[0]
+
+
+def raw_demand_segments(
+    instance: Instance,
+) -> tuple[list[Interval], list[int]]:
+    """The interesting intervals together with their raw demands ``|A(I)|``.
+
+    Each segment's demand is the number of windows live (in the sense of
+    :meth:`Job.is_live_at`) at its midpoint ``t``.  With the values
+    ``r_j - ε`` and ``d_j - ε`` sorted once, that is
+    ``#{r_j - ε <= t} - #{d_j - ε <= t}``: two bisections per segment, so
+    the whole pass is O(n log n).  Zero-demand segments are dropped.
+    """
+    starts = sorted(j.release - TIME_EPS for j in instance.jobs)
+    # A window may end up to ε before it starts (a Job only needs
+    # d_j - r_j >= p_j - ε); such a job is never live, and max() makes its
+    # two terms cancel.
+    ends = sorted(max(j.release, j.deadline) - TIME_EPS for j in instance.jobs)
     points = instance.event_points()
     segments: list[Interval] = []
+    raw: list[int] = []
     for a, b in zip(points, points[1:]):
         if b - a <= TIME_EPS:
             continue
         mid = 0.5 * (a + b)
-        if instance.raw_demand_at(mid) > 0:
+        count = bisect_right(starts, mid) - bisect_right(ends, mid)
+        if count > 0:
             segments.append((a, b))
-    return segments
+            raw.append(count)
+    return segments, raw
 
 
 def coverage_counts(

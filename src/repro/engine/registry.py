@@ -380,8 +380,8 @@ _BUSY_FLEXIBLE_META: dict[str, tuple[str, str, str]] = {
     ),
     "kumar_rudra": (
         "4-approx (Thm 10)",
-        "O(n log n)",
-        "pin via OPT_inf, then Kumar-Rudra level coloring",
+        "O(gn (log gn + L))",
+        "pin via OPT_inf, then Kumar-Rudra level coloring on L levels",
     ),
 }
 
