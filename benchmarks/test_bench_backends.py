@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from repro.instances import random_active_time_instance
 from repro.lp import solve_active_time_exact, solve_active_time_lp
@@ -49,7 +48,7 @@ def _time_solve(fn, repeats=3):
 
 
 def test_lp_latency_and_parity_across_backends(rng, emit):
-    backends = [b for b in available_backend_names() if b != "mip"]
+    backends = available_backend_names()
     rows = []
     for n, T, g in LP_SIZES:
         inst = _feasible_instance(n, T, g, rng)
@@ -82,7 +81,7 @@ def test_lp_latency_and_parity_across_backends(rng, emit):
 
 
 def test_milp_latency_and_parity_across_backends(rng, emit):
-    backends = [b for b in available_backend_names() if b != "mip"]
+    backends = available_backend_names()
     rows = []
     for n, T, g in MILP_SIZES:
         inst = _feasible_instance(n, T, g, rng)
@@ -108,80 +107,3 @@ def test_milp_latency_and_parity_across_backends(rng, emit):
         rows,
     )
 
-
-def test_warm_start_sweep_chain_speedup(rng, emit):
-    """Resident-model re-solve chains: warm vs cold on a g-sweep.
-
-    The canonical sweep workload re-solves one instance's model across a
-    chain of g values — identical sparsity, only the capacity
-    coefficients change.  A resolve-capable backend keeps the model
-    resident and warm-starts each re-solve; a cold solver rebuilds from
-    scratch every time.  Results must be bit-for-bit equal in status and
-    objective; the point of the chain is speed, never answers.
-    """
-    from repro.solvers import HighsBackend, structure_digest
-
-    if not HighsBackend().available():
-        pytest.skip("highs bindings unavailable")
-
-    g_chain = tuple(range(3, 11))
-    repeats = 3
-    rows = []
-    for n, T in [(8, 10), (12, 14), (16, 18)]:
-        inst = _feasible_instance(n, T, g_chain[0], rng)
-        programs = [
-            build_active_time_model(inst, g).to_linear_program(
-                integral=True
-            )
-            for g in g_chain
-        ]
-        # the whole chain shares one structure class — the premise of
-        # the resident-model cache
-        digests = {structure_digest(lp) for lp in programs}
-        assert len(digests) == 1
-
-        def run_chain(resolve: bool):
-            backend = HighsBackend()
-            best = np.inf
-            outcomes = None
-            for _ in range(repeats):
-                backend.clear_resident()
-                start = time.perf_counter()
-                results = [
-                    backend.solve(lp, options={"resolve": resolve})
-                    for lp in programs
-                ]
-                best = min(best, time.perf_counter() - start)
-                outcomes = [(r.status, r.objective) for r in results]
-            return best, outcomes, backend
-
-        cold_sec, cold_out, _ = run_chain(resolve=False)
-        warm_sec, warm_out, backend = run_chain(resolve=True)
-
-        # identical statuses and objectives, warm or cold
-        for (cs, co), (ws, wo) in zip(cold_out, warm_out):
-            assert cs == ws
-            if co is not None:
-                assert abs(co - wo) <= 1e-6
-        # the chain actually ran warm after its first solve
-        assert backend.resolve_stats()["hits"] >= len(g_chain) - 1
-
-        speedup = cold_sec / warm_sec
-        rows.append(
-            [
-                f"n={n}, T={T}",
-                len(g_chain),
-                f"{cold_sec * 1e3:.2f}",
-                f"{warm_sec * 1e3:.2f}",
-                f"{speedup:.1f}x",
-            ]
-        )
-    emit(
-        "E-BACKENDS / MILP g-sweep chain, cold rebuild vs resident warm",
-        ["family", "solves", "cold (ms)", "warm (ms)", "speedup"],
-        rows,
-    )
-    # the headline claim: resident warm chains beat cold rebuilds >= 2x
-    # on at least one realistic sweep size
-    best = max(float(r[-1][:-1]) for r in rows)
-    assert best >= 2.0, rows

@@ -21,8 +21,6 @@ setup(
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis", "networkx"],
         "viz": ["matplotlib"],
-        "mip": ["mip>=1.14"],
-        "highs": ["highspy>=1.7"],
     },
     entry_points={
         "console_scripts": [

@@ -26,8 +26,8 @@ Package layout:
 * :mod:`repro.flow` — Dinic max-flow and the Figure-2 feasibility network;
 * :mod:`repro.lp` — the Section-3 LP/IP, its relaxation, exact MILP oracles;
 * :mod:`repro.solvers` — the backend-neutral LP/MILP layer
-  (:class:`~repro.solvers.LinearProgram` IR + scipy-highs / python-mip /
-  reference backends behind a capability-routing registry);
+  (:class:`~repro.solvers.LinearProgram` IR + scipy-highs / reference
+  backends behind a capability-routing registry);
 * :mod:`repro.activetime` — minimal feasible (3-approx) and LP rounding
   (2-approx) for the active-time problem;
 * :mod:`repro.busytime` — FIRSTFIT, GREEDYTRACKING, 2-approximations,

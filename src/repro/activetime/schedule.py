@@ -89,10 +89,14 @@ class ActiveTimeSchedule:
         if tuple(sorted(self.active_slots)) != tuple(self.active_slots):
             raise VerificationError("active slots not sorted")
 
+        # reversed: the first job with an id wins, as in Instance.job_by_id
+        jobs = {j.id: j for j in reversed(self.instance.jobs)}
         seen_jobs = set()
         loads: dict[int, int] = {}
         for jid, slots in self.assignment.items():
-            job = self.instance.job_by_id(jid)
+            job = jobs.get(jid)
+            if job is None:
+                raise KeyError(f"no job with id {jid}")
             seen_jobs.add(jid)
             if len(set(slots)) != len(slots):
                 raise VerificationError(
@@ -114,7 +118,7 @@ class ActiveTimeSchedule:
                     )
                 loads[t] = loads.get(t, 0) + 1
 
-        missing = {j.id for j in self.instance.jobs} - seen_jobs
+        missing = jobs.keys() - seen_jobs
         if missing:
             raise VerificationError(f"jobs without assignment: {sorted(missing)}")
 

@@ -66,10 +66,8 @@ from .engine import (
     aggregate_table,
     backend_task_params,
     default_grid,
-    group_warm_stats,
     make_task,
     run_sweep,
-    warm_stats_table,
     write_results,
 )
 from .obs import EventLog, trace_spans
@@ -470,11 +468,8 @@ def _cmd_algos(args) -> int:
     backend_rows = []
     for name in backend_names():
         status = backend_status(name)
-        note = status["status"]
-        if status.get("reason"):
-            note = f"{note}: {status['reason']}"
         backend_rows.append(
-            [name, ",".join(status["capabilities"]), note]
+            [name, ",".join(status["capabilities"]), status["status"]]
         )
     print(
         format_table(
@@ -678,13 +673,6 @@ def _cmd_sweep(args) -> int:
     # move to stderr so downstream parsers see records only.
     report = sys.stderr if args.stream else sys.stdout
     print(outcome.table, file=report)
-    warm_rows = group_warm_stats(outcome.results)
-    if warm_rows:
-        print(file=report)
-        print(
-            warm_stats_table(outcome.results, "warm starts by group"),
-            file=report,
-        )
     print(file=report)
     print(outcome.summary, file=report)
     print(f"results  : {written} records -> {args.out}", file=report)

@@ -32,9 +32,7 @@ from .registry import (
 from .results import (
     aggregate,
     aggregate_table,
-    group_warm_stats,
     read_results,
-    warm_stats_table,
     write_results,
 )
 from .dispatch import ResultStream
@@ -64,13 +62,11 @@ __all__ = [
     "default_grid",
     "execute_task",
     "get_solver",
-    "group_warm_stats",
     "instance_digest",
     "make_task",
     "read_results",
     "run_sweep",
     "solve",
     "task_digest",
-    "warm_stats_table",
     "write_results",
 ]

@@ -149,7 +149,7 @@ class AffinityQueue:
     runner's task, the fabric's attempt count).  Taking a task of group
     ``tasks[pos].structure_group`` binds the group to the taker — a
     worker process or a host, compared by identity — so the rest of the
-    chain prefers the owner whose resident-model cache holds it.
+    chain prefers the same owner.
     ``on_steal`` is called when a pick takes another live owner's group.
     """
 
@@ -180,7 +180,7 @@ class AffinityQueue:
         """Pop the best pending entry for ``owner`` and bind its group.
 
         Preference order: (1) a task whose group is bound to ``owner``
-        — the warm-chain continuation; (2) the first task that has no
+        — the chain's continuation; (2) the first task that has no
         group, or whose group is unbound or bound to an owner that is
         not ``live`` (a worker no longer held, a host that is down);
         (3) the head, stolen from its group's live owner.  (3) keeps

@@ -22,8 +22,6 @@ __all__ = [
     "read_results",
     "aggregate",
     "aggregate_table",
-    "group_warm_stats",
-    "warm_stats_table",
 ]
 
 
@@ -102,55 +100,6 @@ def aggregate(results: Sequence[TaskResult]) -> list[dict]:
             }
         )
     return rows
-
-
-def group_warm_stats(results: Sequence[TaskResult]) -> list[dict]:
-    """Warm-start hit rates per structure group.
-
-    Uses the ``warm_start_used`` / ``structure_hit`` booleans the solver
-    layer tags onto result metrics for tasks that went through an LP/MILP
-    backend.  Results without a structure group fold into a ``"-"`` row;
-    cached results are excluded (they did not solve anything this run).
-    Rows are sorted by group label.
-    """
-    cells: dict[str, dict[str, int]] = {}
-    for r in results:
-        if r.cached or "warm_start_used" not in r.metrics:
-            continue
-        group = r.meta.get("structure_group") or "-"
-        cell = cells.setdefault(
-            group, {"solves": 0, "warm": 0, "structure_hits": 0}
-        )
-        cell["solves"] += 1
-        cell["warm"] += bool(r.metrics.get("warm_start_used"))
-        cell["structure_hits"] += bool(r.metrics.get("structure_hit"))
-    return [
-        {
-            "group": group,
-            **cell,
-            "warm_rate": cell["warm"] / cell["solves"],
-        }
-        for group, cell in sorted(cells.items())
-    ]
-
-
-def warm_stats_table(results: Sequence[TaskResult], title: str) -> str:
-    """Render :func:`group_warm_stats` rows as a report table."""
-    rows = group_warm_stats(results)
-    return format_table(
-        title,
-        ["group", "solves", "warm", "struct hit", "warm rate"],
-        [
-            [
-                row["group"],
-                row["solves"],
-                row["warm"],
-                row["structure_hits"],
-                row["warm_rate"],
-            ]
-            for row in rows
-        ],
-    )
 
 
 def aggregate_table(results: Sequence[TaskResult], title: str) -> str:

@@ -31,8 +31,7 @@ Design points:
   result and the batch continues on a fresh worker.
 * **One scheduling core** — digest dedupe, the ordered merge and
   sticky structure affinity (a ``structure_group`` chain stays on one
-  worker process, so a resolve-capable backend's resident-model cache
-  serves it) are :mod:`repro.engine.dispatch`, shared with the
+  worker process) are :mod:`repro.engine.dispatch`, shared with the
   multi-host fabric; this module keeps worker leases, the watchdog,
   cache I/O and trace folding.
 * **Clean interrupt** — Ctrl-C while a stream waits on its workers

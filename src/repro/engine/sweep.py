@@ -140,10 +140,9 @@ def build_sweep_tasks(
         # (generator, algorithm) group contiguous across its g values and
         # reps, so the chain of near-identical LP/MILP structures one
         # group emits lands consecutively in the task list.  Each task is
-        # tagged with its group so the runner can keep the whole chain on
-        # one worker process, where a resolve-capable backend (see
-        # ``repro.solvers.highs_backend``) re-solves warm instead of
-        # rebuilding models from scratch.
+        # tagged with its group so the runner keeps the whole chain on
+        # one worker process.  No backend keeps model state between
+        # solves, so the tag shapes placement only.
         for gen, algorithm, g in sorted(cells):
             group = _structure_group(grid, gen, algorithm)
             for rep in range(grid.instances_per_cell):

@@ -83,9 +83,9 @@ class Task:
 
         Sweep expansion tags tasks whose solves build (near-)identical
         LP/MILP structures (same generator family, size and algorithm);
-        the runner keeps a group sticky to one worker process so a
-        resolve-capable backend's resident-model cache actually hits
-        across the chain.  ``None`` means no affinity preference.
+        the runner keeps a group sticky to one worker process.  No
+        backend keeps model state between solves, so this shapes
+        placement only.  ``None`` means no affinity preference.
         """
         group = self.meta.get("structure_group")
         return group if isinstance(group, str) else None
@@ -306,12 +306,11 @@ def execute_task(task: Task) -> TaskResult:
             task, detail, time.perf_counter() - start, trace=trace
         )
     metrics = dict(outcome.metrics)
-    metrics.update(_solve_facts(solves))
-    trace.label(status="ok", **{
-        k: metrics[k]
-        for k in ("backend", "warm_start_used", "structure_hit")
-        if k in metrics
-    })
+    if solves:
+        # A task may issue several backend solves (an LP relaxation,
+        # then a MILP); it is labelled with the last backend used.
+        metrics["backend"] = solves[-1]["backend"]
+    trace.label(status="ok", backend=metrics.get("backend"))
     metrics["trace"] = trace.to_payload()
     return TaskResult(
         index=task.index,
@@ -327,18 +326,3 @@ def execute_task(task: Task) -> TaskResult:
         meta=task.meta,
     )
 
-
-def _solve_facts(solves: list[dict[str, Any]]) -> dict[str, Any]:
-    """Fold the captured backend-solve events into result metrics.
-
-    An algorithm may issue several backend solves per task (e.g. an LP
-    relaxation then a MILP); the task counts as warm/structure-hit if
-    *any* of them were, and the backend label is the last one used.
-    """
-    if not solves:
-        return {}
-    return {
-        "backend": solves[-1]["backend"],
-        "warm_start_used": any(e["warm_start_used"] for e in solves),
-        "structure_hit": any(e["structure_hit"] for e in solves),
-    }

@@ -31,11 +31,10 @@ run are dispatched once and their results fanned out locally
 the host that solved the original), and a task re-dispatched after a
 host loss is served from the surviving host's cache if any host solved
 it before — the digest is the same everywhere.  Tasks tagged with a
-``structure_group`` prefer the host their group last ran on (that
-host's resident-model cache holds the warm chain); a down host's groups
-count as unbound, and an idle host steals and rebinds rather than
-letting work queue — placement is shaped, never starved.  This module
-keeps only windows, probes, retries and the blackout rule.
+``structure_group`` prefer the host their group last ran on; a down
+host's groups count as unbound, and an idle host steals and rebinds
+rather than letting work queue — placement is shaped, never starved.
+This module keeps only windows, probes, retries and the blackout rule.
 
 Instrumented with :mod:`repro.obs`: per-host dispatched / completed /
 retried counters, in-flight and host-up gauges, and a per-host task
@@ -54,9 +53,8 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..engine.dispatch import AffinityQueue, DedupePlan, ResultStream, reanchor
 from ..engine.workers import Task, TaskResult, failure_result
-from ..io import instance_to_payload
 from ..obs import REGISTRY as OBS
-from ..serve.client import ServeClient, ServeClientError
+from ..serve.client import ServeClient, ServeClientError, task_request
 
 __all__ = [
     "FabricStats",
@@ -146,21 +144,16 @@ def task_payload(task: Task) -> dict[str, Any]:
     """
     params = dict(task.params)
     backend = params.pop("backend", None)
-    payload: dict[str, Any] = {
-        "instance": instance_to_payload(task.instance),
-        "problem": task.problem,
-        "algorithm": task.algorithm,
-        "g": task.g,
-    }
-    if params:
-        payload["params"] = params
-    if backend is not None:
-        payload["backend"] = backend
-    if task.timeout is not None:
-        payload["timeout"] = task.timeout
-    if task.meta:
-        payload["meta"] = dict(task.meta)
-    return payload
+    return task_request(
+        task.instance,
+        task.problem,
+        task.g,
+        algorithm=task.algorithm,
+        params=params,
+        backend=backend,
+        timeout=task.timeout,
+        meta=task.meta,
+    )
 
 
 @dataclass

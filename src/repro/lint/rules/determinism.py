@@ -1,16 +1,16 @@
 """REP006 — determinism in content-digest paths.
 
-``Task.digest`` (built by ``task_digest``/``canonical_task``) and the
-resident-model ``structure_digest`` are the engine's *addresses*: the
-result cache, server-side dedupe, fabric re-dispatch and warm-start
-affinity all assume that equal inputs produce equal digests across
+``Task.digest`` (built by ``task_digest``/``canonical_task``) and
+``instance_digest`` are the engine's *addresses*: the result cache,
+server-side dedupe and fabric re-dispatch all assume that
+equal inputs produce equal digests across
 processes and hosts.  The PR 8 digest-drift bug (params ordering
 leaking into the wire digest) is the motivating incident: one
 nondeterministic byte and every cache tier silently stops hitting.
 
 This rule walks a name-level call graph from the digest entry points
-(``task_digest``, ``structure_digest``, ``instance_digest``) and flags,
-inside every transitively reachable function:
+(``task_digest``, ``instance_digest``) and flags, inside every
+transitively reachable function:
 
 * wall-clock and randomness sources — ``time.time()`` & friends,
   ``random.*``, ``uuid.*``, ``os.urandom``, ``datetime.now/utcnow``,
@@ -38,7 +38,7 @@ from ..callgraph import function_table, reachable_names
 _FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Digest computation roots; reachability fans out from these names.
-ENTRY_POINTS = ("task_digest", "structure_digest", "instance_digest")
+ENTRY_POINTS = ("task_digest", "instance_digest")
 
 _TIME_ATTRS = {"time", "time_ns", "monotonic", "monotonic_ns",
                "perf_counter", "perf_counter_ns"}

@@ -111,9 +111,9 @@ class _GaugeChild(_Child):
     def set_function(self, fn: Callable[[], float]) -> None:
         """Evaluate ``fn`` at collection time instead of storing a value.
 
-        For mirroring state owned elsewhere (resident-model counts,
-        pool sizes) without a write on every change.  Exceptions from
-        ``fn`` surface at render time — keep callbacks trivial.
+        For mirroring state owned elsewhere (pool sizes, say) without a
+        write on every change.  Exceptions from ``fn`` surface at render
+        time — keep callbacks trivial.
         """
         with self._lock:
             self._fn = fn

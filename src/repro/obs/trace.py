@@ -5,15 +5,15 @@ flat label set.  The payload is plain JSON — it crosses the worker
 process boundary inside ``TaskResult.metrics["trace"]`` and lands in
 JSONL result files unchanged — and reads as the task's life story::
 
-    {"labels": {"algorithm": "rounding", "backend": "highs",
-                "warm": "warm", "watchdog_kill": false},
+    {"labels": {"algorithm": "rounding", "backend": "scipy-highs",
+                "watchdog_kill": false},
      "spans": [{"name": "cache_lookup", "dur": 0.00002},
                {"name": "queued", "dur": 0.013},
                {"name": "solving", "dur": 0.241},
                {"name": "total", "dur": 0.255}]}
 
 The worker side records ``solving`` (and labels what it learned from
-the solver layer: backend, warm/cold); the parent-side runner prepends
+the solver layer: the backend); the parent-side runner prepends
 ``cache_lookup``/``queued`` and appends ``total`` when the result comes
 home, since only the parent knows when the task entered the queue.
 Durations, never absolute timestamps: workers and parents need not

@@ -22,12 +22,12 @@ Endpoints (wire contract unchanged from the threading tier)
     the fabric can see serving-tier saturation, not just pool depth.
 ``GET /metrics``
     The process metrics registry in Prometheus text-exposition format
-    (task latency and queue-wait histograms, cache counters, warm-start
-    gauges, connection gauge — see the README's metrics catalog).
+    (task latency and queue-wait histograms, cache counters, connection
+    gauge — see the README's metrics catalog).
 ``GET /stats``
     The same registry digested to JSON for humans and dashboards that
     do not speak Prometheus: queue depth, in-flight streams, per-backend
-    latency quantiles, cache, serving and HiGHS re-solve statistics.
+    latency quantiles, cache and serving statistics.
 ``POST /solve``
     One task as a JSON object (``instance``/``problem``/``algorithm``/
     ``g``/``params``/``backend``/``timeout``/``meta``); answers the
@@ -84,7 +84,6 @@ from ..io import instance_from_payload
 from ..obs import REGISTRY as OBS
 from ..obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE, render_prometheus
 from ..solvers import backend_names, backend_status, resolve_backend
-from ..solvers.registry import get_backend
 
 __all__ = [
     "DEFAULT_PORT",
@@ -492,8 +491,7 @@ class ServeApp:
         Everything here is also on ``/metrics`` in Prometheus form; this
         is the human/dashboard view — current queue depth, in-flight
         streams and connections, per-status task counts, latency
-        quantiles per backend, cache, pool and HiGHS re-solve
-        statistics.
+        quantiles per backend, cache and pool statistics.
         """
         tasks: dict[str, float] = {}
         family = OBS.get("repro_tasks_total")
@@ -532,7 +530,6 @@ class ServeApp:
                 "repro_backend_solve_seconds", ("backend", "kind")
             ),
             "cache": self.cache.stats,
-            "highs_resolve": get_backend("highs").resolve_stats(),
             "fabric": _fabric_digest(),
         }
         return _json_safe(payload)

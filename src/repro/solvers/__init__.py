@@ -7,25 +7,15 @@ Layers, bottom up:
 * :mod:`~repro.solvers.base` — the :class:`SolverBackend` protocol and
   the uniform :class:`SolverResult`.
 * backends — :mod:`~repro.solvers.scipy_backend` (HiGHS via scipy, the
-  default), :mod:`~repro.solvers.highs_backend` (resident-model HiGHS
-  via ``highspy`` with warm-start re-solve chains and duals),
-  :mod:`~repro.solvers.mip_backend` (optional python-mip),
-  :mod:`~repro.solvers.reference` (dependency-free dense simplex +
-  branch & bound for tiny instances and CI cross-checks).
+  default) and :mod:`~repro.solvers.reference` (dependency-free dense
+  simplex + branch & bound for tiny instances and CI cross-checks).
 * :mod:`~repro.solvers.registry` — name -> backend with env/CLI
   selection and capability-based fallback; :func:`solve_ir` is the one
   routing entry point the algorithm layer calls.
 """
 
-from .base import (
-    SolverBackend,
-    SolverError,
-    SolverResult,
-    validate_warm_start,
-)
-from .highs_backend import HighsBackend, structure_digest
+from .base import SolverBackend, SolverError, SolverResult
 from .ir import LinearProgram
-from .mip_backend import PythonMipBackend
 from .reference import ReferenceBackend
 from .registry import (
     BACKEND_ENV_VAR,
@@ -44,9 +34,7 @@ from .scipy_backend import ScipyHighsBackend
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
-    "HighsBackend",
     "LinearProgram",
-    "PythonMipBackend",
     "ReferenceBackend",
     "ScipyHighsBackend",
     "SolverBackend",
@@ -60,6 +48,4 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "solve_ir",
-    "structure_digest",
-    "validate_warm_start",
 ]

@@ -3,9 +3,9 @@
 A backend is anything that can take a :class:`~repro.solvers.ir.LinearProgram`
 and return a :class:`SolverResult`.  The contract is deliberately small —
 ``solve``, ``capabilities``, ``available`` — so that wrapping a new solver
-is a one-file affair (see :mod:`repro.solvers.mip_backend` for the optional
-python-mip adapter and :mod:`repro.solvers.reference` for the from-scratch
-dense simplex).
+is a one-file affair (see :mod:`repro.solvers.scipy_backend` for the scipy
+adapter and :mod:`repro.solvers.reference` for the from-scratch dense
+simplex).
 
 Status vocabulary (shared by every backend):
 
@@ -18,7 +18,7 @@ Status vocabulary (shared by every backend):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "SolverResult",
     "SolverBackend",
     "SolverError",
-    "validate_warm_start",
 ]
 
 #: The closed set of result statuses every backend maps onto.
@@ -40,35 +39,13 @@ class SolverError(RuntimeError):
     """Raised by :meth:`SolverResult.require_optimal` on a non-optimal solve."""
 
 
-def validate_warm_start(lp: LinearProgram, warm: Any) -> np.ndarray:
-    """Check a ``warm_start`` vector against ``lp`` before handing it to
-    a native solver.
-
-    Native modeling layers silently truncate or mis-index a wrong-length
-    start vector; validating here turns that into an immediate, explicit
-    error.  Shared by every backend that accepts
-    ``options={"warm_start": ...}``.
-    """
-    arr = np.asarray(warm, dtype=float).ravel()
-    if len(arr) != lp.num_vars:
-        raise ValueError(
-            f"warm_start has {len(arr)} entries but "
-            f"{lp.describe() or 'the program'} has {lp.num_vars} columns"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("warm_start must contain only finite values")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class SolverResult:
     """Uniform outcome of one backend solve.
 
     ``x`` is the primal solution in the IR's column order (``None``
-    unless ``status == "optimal"``); ``extra`` carries backend-specific
-    diagnostics (iteration counts, MIP gaps) that callers may surface
-    but must not depend on.  ``eq=False`` because the ndarray field
-    makes generated equality ambiguous.
+    unless ``status == "optimal"``).  ``eq=False`` because the ndarray
+    field makes generated equality ambiguous.
     """
 
     status: str
@@ -77,7 +54,6 @@ class SolverResult:
     x: np.ndarray | None = None
     message: str = ""
     elapsed: float = 0.0
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -106,28 +82,17 @@ class SolverResult:
 class SolverBackend(Protocol):
     """What the rest of the repository knows about an LP/MILP solver.
 
-    Implementations behave as stateless adapters: each ``solve`` call
+    Implementations are stateless adapters: each ``solve`` call
     returns an independent result, so one backend instance can be
-    shared process-wide (the registry does exactly that).  A backend
-    with the ``resolve`` capability may keep internal model state
-    between calls as a performance cache, but that state must never
-    change results and must be safe to share across threads.
+    shared process-wide (the registry does exactly that).
     """
 
-    #: Stable registry name (``scipy-highs``, ``mip``, ``reference``).
+    #: Stable registry name (``scipy-highs``, ``reference``).
     name: str
 
     def capabilities(self) -> frozenset[str]:
         """Declared abilities: a set drawn from ``{"lp", "milp",
-        "sparse", "warm-start", "resolve", "duals",
-        "dependency-free"}`` (extensible).
-
-        ``warm-start`` — accepts ``options={"warm_start": x}`` (validated
-        via :func:`validate_warm_start`); ``resolve`` — keeps solver
-        models resident across calls and re-solves structure-identical
-        programs by in-place mutation; ``duals`` — populates dual values
-        and basis information in ``SolverResult.extra`` on LP optima.
-        """
+        "sparse", "dependency-free", "tiny"}`` (extensible)."""
         ...
 
     def available(self) -> bool:

@@ -12,8 +12,8 @@ expressed as one :class:`LinearProgram`:
 
 Construction mirrors scipy's ``linprog``/``milp`` split (one-sided
 inequality plus equality blocks) because that is the lowest common
-denominator across backends: scipy consumes it directly, python-mip and
-the dense reference simplex translate row by row.  Problem assemblers
+denominator across backends: scipy consumes it directly, the dense
+reference simplex translates row by row.  Problem assemblers
 that naturally produce two-sided rows ``lb_row <= a @ x <= ub_row``
 (the MILP oracles) go through :meth:`LinearProgram.from_two_sided`,
 which splits them into the canonical blocks.

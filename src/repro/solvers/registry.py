@@ -1,5 +1,9 @@
 """Backend registry: name -> :class:`SolverBackend`, with capability routing.
 
+Two backends are built in: ``scipy-highs`` (HiGHS via scipy, the
+default) and ``reference`` (the dependency-free oracle that parity
+tests compare against).
+
 Selection rules, in order:
 
 1. an explicit ``backend=`` argument (a name or a backend instance) wins;
@@ -23,9 +27,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from ..obs import REGISTRY as OBS
 from .base import SolverBackend, SolverResult
-from .highs_backend import HighsBackend
 from .ir import LinearProgram
-from .mip_backend import PythonMipBackend
 from .reference import ReferenceBackend
 from .scipy_backend import ScipyHighsBackend
 
@@ -57,9 +59,9 @@ _BACKEND_SOLVES = OBS.counter(
 )
 
 # Per-thread capture channel: the engine's task executor opens it around
-# a solve so per-backend facts (who ran, warm or cold) ride home in the
-# task's trace even though the algorithm adapters between them don't
-# pass SolverResult.extra through.
+# a solve so the backend that ran rides home in the task's result even
+# though the algorithm adapters between them don't pass SolverResult
+# through.
 _CAPTURE = threading.local()
 
 
@@ -68,9 +70,10 @@ def capture_solves() -> Iterator[list[dict[str, Any]]]:
     """Collect one event dict per :func:`solve_ir` call in this thread.
 
     Each event carries ``backend``/``kind``/``status``/``elapsed`` plus
-    the warm-start facts a resolve-capable backend tags onto
-    ``SolverResult.extra`` (``warm_start_used``, ``structure_hit``).
-    Nested captures stack: the inner scope sees only its own solves.
+    ``warm_start_used``/``structure_hit``, which are always False (no
+    backend keeps state between solves) and stay because
+    ``perfbench/layers.py`` reads them.  Nested captures stack: the
+    inner scope sees only its own solves.
     """
     previous = getattr(_CAPTURE, "events", None)
     _CAPTURE.events = events = []
@@ -109,39 +112,24 @@ def available_backend_names() -> tuple[str, ...]:
 
 
 def backend_menu() -> str:
-    """Human-readable list of backends with availability notes."""
-    parts = []
-    for name in backend_names():
-        backend = _BACKENDS[name]
-        if backend.available():
-            caps = ",".join(sorted(backend.capabilities()))
-            parts.append(f"{name} ({caps})")
-        else:
-            reason = getattr(backend, "unavailable_reason", lambda: "")()
-            parts.append(f"{name} (unavailable: {reason})" if reason
-                         else f"{name} (unavailable)")
-    return "; ".join(parts)
+    """Human-readable list of backends with their capabilities."""
+    return "; ".join(
+        f"{name} ({','.join(sorted(_BACKENDS[name].capabilities()))})"
+        for name in backend_names()
+    )
 
 
 def backend_status(name: str) -> dict[str, Any]:
-    """One backend's name, capabilities and availability, JSON-ready.
+    """One backend's name, capabilities and status, JSON-ready.
 
     The shared source for every backend listing — the ``repro algos``
     table and the serving layer's ``GET /algos`` both render from this,
     so their menus cannot drift apart.
     """
-    backend = get_backend(name)
-    if backend.available():
-        status = "default" if name == DEFAULT_BACKEND else "available"
-        reason = None
-    else:
-        status = "unavailable"
-        reason = getattr(backend, "unavailable_reason", lambda: "")() or None
     return {
         "name": name,
-        "capabilities": sorted(backend.capabilities()),
-        "status": status,
-        **({"reason": reason} if reason else {}),
+        "capabilities": sorted(get_backend(name).capabilities()),
+        "status": "default" if name == DEFAULT_BACKEND else "available",
     }
 
 
@@ -188,13 +176,6 @@ def resolve_backend(
     )
     if explicit:
         chosen = get_backend(explicit)
-        if not chosen.available():
-            reason = getattr(chosen, "unavailable_reason", lambda: "")()
-            raise ValueError(
-                f"backend {explicit!r} is not available"
-                + (f": {reason}" if reason else "")
-                + f"; available backends: {backend_menu()}"
-            )
         missing = need - chosen.capabilities()
         if missing:
             raise ValueError(
@@ -244,15 +225,14 @@ def solve_ir(
     _BACKEND_SOLVES.labels(backend=chosen.name, status=result.status).inc()
     events = getattr(_CAPTURE, "events", None)
     if events is not None:
-        extra = result.extra or {}
         events.append(
             {
                 "backend": chosen.name,
                 "kind": kind,
                 "status": result.status,
                 "elapsed": elapsed,
-                "warm_start_used": bool(extra.get("warm_start_used")),
-                "structure_hit": bool(extra.get("structure_hit")),
+                "warm_start_used": False,
+                "structure_hit": False,
             }
         )
     return result
@@ -262,25 +242,4 @@ def solve_ir(
 # Built-in registrations
 # ----------------------------------------------------------------------
 register_backend(ScipyHighsBackend())
-register_backend(HighsBackend())
-register_backend(PythonMipBackend())
 register_backend(ReferenceBackend())
-
-
-def _register_highs_gauges() -> None:
-    # Collect-time callbacks: resolve_stats() is read when /metrics is
-    # scraped, so the gauges never lag the backend's own counters.
-    gauge = OBS.gauge(
-        "repro_highs_resolve",
-        "Resident-model HiGHS re-solve statistics",
-        ("stat",),
-    )
-    backend = _BACKENDS["highs"]
-    for stat in ("hits", "misses", "resident", "warm_starts",
-                 "bound_probe_skips"):
-        gauge.labels(stat=stat).set_function(
-            lambda s=stat: float(backend.resolve_stats().get(s, 0))
-        )
-
-
-_register_highs_gauges()

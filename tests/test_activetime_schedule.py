@@ -7,7 +7,7 @@ from repro.activetime import (
     VerificationError,
     schedule_from_slots,
 )
-from repro.core import Instance
+from repro.core import Instance, Job
 from repro.instances import random_active_time_instance
 
 
@@ -101,6 +101,24 @@ class TestVerificationCatchesMutations:
         )
         with pytest.raises(VerificationError, match="sorted"):
             broken.verify()
+
+    def test_unknown_job_id(self, tiny_instance):
+        s = self._base(tiny_instance)
+        assignment = {**s.assignment, 99: (1,)}
+        broken = ActiveTimeSchedule(tiny_instance, 2, s.active_slots, assignment)
+        with pytest.raises(KeyError, match="no job with id 99"):
+            broken.verify()
+
+    def test_duplicated_id_checks_the_first_job(self):
+        # Instance() rejects duplicate ids, so build one past that check
+        # to pin the lookup rule of Instance.job_by_id: the first job wins.
+        inst = object.__new__(Instance)
+        object.__setattr__(
+            inst, "jobs", (Job(0, 4, 2, id=0), Job(0, 4, 1, id=0))
+        )
+        ActiveTimeSchedule(inst, 1, (1, 2), {0: (1, 2)}).verify()
+        with pytest.raises(VerificationError, match="received 1 units, needs 2"):
+            ActiveTimeSchedule(inst, 1, (1,), {0: (1,)}).verify()
 
     def test_is_valid_wrapper(self, tiny_instance):
         s = self._base(tiny_instance)

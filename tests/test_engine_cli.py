@@ -208,14 +208,15 @@ class TestBackendFlag:
             ]
         assert costs["reference"] == costs["scipy-highs"]
 
+    @pytest.mark.parametrize("backend", ["glpk", "highs"])
     def test_unknown_backend_exits_nonzero_with_menu(self, active_file,
-                                                     capsys):
+                                                     capsys, backend):
         assert main([
-            "active", str(active_file), "--g", "2", "--backend", "glpk",
+            "active", str(active_file), "--g", "2", "--backend", backend,
         ]) == 1
         err = capsys.readouterr().err
-        assert "unknown backend" in err
-        assert "scipy-highs" in err and "reference" in err and "mip" in err
+        assert f"unknown backend {backend!r}" in err
+        assert "scipy-highs (" in err and "reference (" in err
 
     def test_backend_on_combinatorial_algorithm_errors(self, active_file,
                                                        capsys):

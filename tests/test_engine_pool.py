@@ -9,6 +9,7 @@ queue.
 """
 
 import multiprocessing
+import os
 import threading
 import time
 
@@ -73,6 +74,26 @@ def _pool_sleepy_solver(instance, g, **params):
 @pytest.fixture
 def pool_sleepy_solver():
     yield from _register_temp_solver("pool-sleepy-test", _pool_sleepy_solver)
+
+
+def _pool_gated_solver(instance, g, gate, delay, **params):
+    """Block until the file ``gate`` exists, then sleep ``delay`` s.
+
+    The gate is a file, not an event, because the solver runs in a
+    forked worker process.
+    """
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(gate):
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"gate {gate} never opened")
+        time.sleep(0.01)
+    time.sleep(delay)
+    return SolveOutcome(objective=float(g))
+
+
+@pytest.fixture
+def pool_gated_solver():
+    yield from _register_temp_solver("pool-gated-test", _pool_gated_solver)
 
 
 def _wait_until(predicate, timeout=10.0, interval=0.02):
@@ -182,17 +203,40 @@ class TestIdleTtl:
 
 @_FORK_ONLY
 class TestPriorityLeases:
-    def test_urgent_acquire_beats_earlier_bulk_waiter(self, pool_sleepy_solver):
+    def test_urgent_acquire_beats_earlier_bulk_waiter(
+        self, pool_gated_solver, tmp_path
+    ):
         """An urgent single solve overtakes a bulk waiter that queued first.
 
         A bulk stream holds both workers; a second bulk request then an
         urgent request queue up behind it.  The worker shed at the bulk
         stream's next completion must go to the urgent request even
         though the bulk waiter registered earlier.
+
+        Every task blocks on a gate file that opens only once both
+        requests are registered, so the order does not depend on how
+        fast the machine is.  After the gate the bulk stream's first
+        task returns at once and every other task sleeps 0.6 s: that
+        first completion is the only shed, and the urgent solve ends
+        about 0.6 s before the waiter's.
         """
         runner = BatchRunner(jobs=2)
+        gate = tmp_path / "gate"
         done = {}
         errors = []
+
+        def _gated(instances, first_delay=0.6):
+            return [
+                make_task(
+                    index=i, problem="active", algorithm=pool_gated_solver,
+                    g=2, instance=inst, timeout=30.0,
+                    params={
+                        "gate": str(gate),
+                        "delay": first_delay if i == 0 else 0.6,
+                    },
+                )
+                for i, inst in enumerate(instances)
+            ]
 
         def _run(label, tasks, priority):
             try:
@@ -202,25 +246,12 @@ class TestPriorityLeases:
             except Exception as exc:  # pragma: no cover - debug aid
                 errors.append((label, exc))
 
-        bulk_tasks = _tasks(
-            _instances(6, seed=100),
-            algorithm=pool_sleepy_solver,
-            timeout=30.0,
-        )
-        waiter_task = _tasks(
-            _instances(1, seed=200),
-            algorithm=pool_sleepy_solver,
-            timeout=30.0,
-        )
-        urgent_task = _tasks(
-            _instances(1, seed=300),
-            algorithm=pool_sleepy_solver,
-            timeout=30.0,
-        )
+        bulk_tasks = _gated(_instances(6, seed=100), first_delay=0.0)
+        waiter_task = _gated(_instances(1, seed=200))
+        urgent_task = _gated(_instances(1, seed=300))
         try:
             # Warm the pool so the bulk stream leases both workers
-            # instantly — the B/C registrations below must land before
-            # the bulk stream's first completion (~0.6s out).
+            # instantly; both hold gated tasks until the gate opens.
             runner.warm_up()
             t_bulk = threading.Thread(
                 target=_run, args=("bulk", bulk_tasks, 0), daemon=True
@@ -245,6 +276,8 @@ class TestPriorityLeases:
             assert _wait_until(
                 lambda: runner._wd_urgent_waiters >= 1, timeout=5.0
             )
+            assert runner._wd_waiters == 2
+            gate.touch()
 
             for t in (t_urgent, t_waiter, t_bulk):
                 t.join(timeout=30.0)
@@ -255,6 +288,7 @@ class TestPriorityLeases:
                 f"urgent={done['urgent']:.3f} waiter={done['waiter']:.3f}"
             )
         finally:
+            gate.touch()
             runner.close()
 
     def test_lease_counter_grows(self, pool_sleepy_solver):

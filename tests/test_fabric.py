@@ -5,6 +5,7 @@ dispatcher's ``client_factory`` hook, so steal/retry/dedupe/probe logic
 runs deterministically with no sockets or subprocesses involved.
 """
 
+import json
 import threading
 import time
 
@@ -14,6 +15,7 @@ from repro.core import Instance
 from repro.engine.workers import TaskResult, make_task
 from repro.fabric import RemoteDispatcher, normalize_hosts, task_payload
 from repro.serve.client import ServeClientError
+from repro.serve.server import parse_task_request
 
 URL_A = "http://hosta:8977"
 URL_B = "http://hostb:8977"
@@ -178,6 +180,26 @@ class TestTaskPayload:
         payload = task_payload(task)
         assert payload["timeout"] == 1.5
         assert payload["meta"] == {"k": 3}
+
+    def test_server_rebuilds_the_same_digest(self):
+        inst = Instance.from_tuples([(0, 4, 2), (1, 5, 1)])
+        task = make_task(
+            index=4,
+            problem="active",
+            algorithm="rounding",
+            g=2,
+            instance=inst,
+            params={"seed": 7, "backend": "reference"},
+            meta={"k": 4},
+            timeout=1.5,
+        )
+        payload = task_payload(task)
+        assert payload["params"] == {"seed": 7}
+        assert payload["backend"] == "reference"
+        served = parse_task_request(json.loads(json.dumps(payload)), index=4)
+        assert served.digest == task.digest
+        assert served.params == task.params
+        assert (served.timeout, served.meta) == (1.5, {"k": 4})
 
 
 class TestDispatch:

@@ -4,9 +4,9 @@ Serial (``BatchRunner(jobs=1)``), the worker pool (``jobs=2``), ``POST
 /batch`` on an in-process ``repro serve`` and the fabric over two
 in-process hosts all run the engine's one scheduling core, so their
 records must agree field for field.  Only what describes one execution
-may differ: timings, the cache flag, the trace, warm-start bookkeeping
-and the fabric's host label.  Every record goes through its JSON form
-first, as the HTTP paths' records already have.
+may differ: timings, the cache flag, the trace and the fabric's host
+label.  Every record goes through its JSON form first, as the HTTP
+paths' records already have.
 """
 
 import contextlib
@@ -60,8 +60,7 @@ def _task_list():
 def _record(result):
     record = json.loads(json.dumps(result.to_record()))
     del record["elapsed"], record["cached"]
-    for key in ("trace", "warm_start_used", "structure_hit"):
-        record["metrics"].pop(key, None)
+    record["metrics"].pop("trace", None)
     record["meta"].pop("fabric_host", None)
     return record
 

@@ -104,9 +104,10 @@ class TestAlgosEndpoint:
 
     def test_lists_backends_with_capabilities(self, client):
         backends = {b["name"]: b for b in client.algos()["backends"]}
-        assert {"scipy-highs", "reference", "mip"} <= set(backends)
+        assert set(backends) == {"scipy-highs", "reference"}
         assert "lp" in backends["scipy-highs"]["capabilities"]
-        assert backends["scipy-highs"]["status"] in ("default", "unavailable")
+        assert backends["scipy-highs"]["status"] == "default"
+        assert backends["reference"]["status"] == "available"
 
     def test_healthz(self, client):
         health = client.health()

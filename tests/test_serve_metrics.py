@@ -274,7 +274,6 @@ class TestStatsEndpoint:
             "task_seconds",
             "backend_solve_seconds",
             "cache",
-            "highs_resolve",
         ):
             assert key in stats, key
         assert stats["tasks"].get("ok", 0) >= 1
