@@ -9,8 +9,8 @@ Layers, bottom up:
 * :mod:`~repro.engine.workers` — picklable task/result records and the
   worker-side executor with timeouts and rich error context.
 * :mod:`~repro.engine.dispatch` — one run's scheduling state (digest
-  dedupe, sticky structure-group picks, the ordered merge), shared by
-  the runner and the multi-host fabric.
+  dedupe and the ordered merge), shared by the runner and the
+  multi-host fabric.
 * :mod:`~repro.engine.runner` — :class:`BatchRunner`, which shards
   tasks across a process pool with deterministic result ordering.
 * :mod:`~repro.engine.results` — streaming JSONL store + aggregation

@@ -4,24 +4,24 @@
 :class:`~repro.fabric.RemoteDispatcher` schedule a run the same way,
 and this module is the only implementation of it:
 :class:`DedupePlan` (digest dedupe, duplicate fan-out or retry, the
-ordered merge and sealing of lost slots), :class:`AffinityQueue`
-(sticky structure-group picks, O(1) while no group is bound) and
-:class:`ResultStream` (the iterator both hand back).  The executors
-keep only what is theirs: the runner its worker leases, watchdog,
-cache I/O and trace folding; the fabric its windows, probes, retries
-and blackout rule.  Nothing here locks: the runner drives it from its
-one consumer thread, the fabric under its run lock.
+ordered merge and sealing of lost slots) and :class:`ResultStream`
+(the iterator both hand back).  Both queue the positions to solve in a
+plain deque and always take its head, so tasks are dispatched in task
+order (a re-queued task joins the back).  The executors keep only
+what is theirs: the runner its worker leases, watchdog, cache I/O and
+trace folding; the fabric its windows, probes, retries and blackout
+rule.  Nothing here locks: the runner drives it from its one consumer
+thread, the fabric under its run lock.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
-from typing import Any, Callable, Deque, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .workers import Task, TaskResult, failure_result
 
-__all__ = ["AffinityQueue", "DedupePlan", "ResultStream", "reanchor"]
+__all__ = ["DedupePlan", "ResultStream", "reanchor"]
 
 
 def reanchor(result: TaskResult, task: Task) -> TaskResult:
@@ -140,86 +140,6 @@ class DedupePlan:
             )
         self._results[pos] = result
         self._unresolved -= 1
-
-
-class AffinityQueue:
-    """Pending positions in task order, picked sticky by structure group.
-
-    Entries are ``(pos, tag)``, the tag being the executor's own (the
-    runner's task, the fabric's attempt count).  Taking a task of group
-    ``tasks[pos].structure_group`` binds the group to the taker — a
-    worker process or a host, compared by identity — so the rest of the
-    chain prefers the same owner.
-    ``on_steal`` is called when a pick takes another live owner's group.
-    """
-
-    def __init__(
-        self,
-        tasks: Sequence[Task],
-        on_steal: Callable[[], None] | None = None,
-    ) -> None:
-        self._tasks = tasks
-        self._on_steal = on_steal
-        self._pending: Deque[tuple[int, Any]] = deque()
-        #: structure group -> the owner that last took one of its tasks.
-        self.bound: dict[str, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def push(self, pos: int, tag: Any) -> None:
-        self._pending.append((pos, tag))
-
-    def popleft(self) -> tuple[int, Any]:
-        """The head, in plain FIFO order (binds nothing)."""
-        return self._pending.popleft()
-
-    def take(
-        self, owner: Any, live: Callable[[Any], bool]
-    ) -> tuple[int, Any]:
-        """Pop the best pending entry for ``owner`` and bind its group.
-
-        Preference order: (1) a task whose group is bound to ``owner``
-        — the chain's continuation; (2) the first task that has no
-        group, or whose group is unbound or bound to an owner that is
-        not ``live`` (a worker no longer held, a host that is down);
-        (3) the head, stolen from its group's live owner.  (3) keeps
-        placement work-conserving: affinity never idles an owner while
-        work is queued.  The queue must be non-empty.
-
-        While no group is bound nothing can match (1) and the head
-        always qualifies for (2), so the head is popped without walking
-        the queue — a pick stays O(1) for ungrouped runs.
-        """
-        pending = self._pending
-        if not self.bound:
-            pos, tag = pending.popleft()
-        else:
-            own: int | None = None
-            fallback: int | None = None
-            for i, (pos, _) in enumerate(pending):
-                group = self._tasks[pos].structure_group
-                if group is None:
-                    if fallback is None:
-                        fallback = i
-                    continue
-                bound = self.bound.get(group)
-                if bound is owner:
-                    own = i
-                    break
-                if fallback is None and (bound is None or not live(bound)):
-                    fallback = i
-            if own is None and fallback is None and self._on_steal is not None:
-                self._on_steal()
-            index = own if own is not None else (
-                fallback if fallback is not None else 0
-            )
-            pos, tag = pending[index]
-            del pending[index]
-        group = self._tasks[pos].structure_group
-        if group is not None:
-            self.bound[group] = owner
-        return pos, tag
 
 
 class ResultStream:

@@ -29,11 +29,10 @@ Design points:
   its task's budget (``SIGALRM`` cannot interrupt a solver stuck inside
   HiGHS C code; killing the process can).  The task gets a ``timeout``
   result and the batch continues on a fresh worker.
-* **One scheduling core** — digest dedupe, the ordered merge and
-  sticky structure affinity (a ``structure_group`` chain stays on one
-  worker process) are :mod:`repro.engine.dispatch`, shared with the
-  multi-host fabric; this module keeps worker leases, the watchdog,
-  cache I/O and trace folding.
+* **One scheduling core** — digest dedupe and the ordered merge are
+  :mod:`repro.engine.dispatch`, shared with the multi-host fabric, and
+  a free worker always takes the head of the queue; this module keeps
+  worker leases, the watchdog, cache I/O and trace folding.
 * **Clean interrupt** — Ctrl-C while a stream waits on its workers
   kills every worker still holding one of its tasks before the
   ``KeyboardInterrupt`` propagates, so no worker grinds on behind it;
@@ -52,13 +51,15 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as connection_wait
 from typing import Iterator, Sequence
 
 from ..obs import REGISTRY as OBS
+from ..solvers.registry import record_solve
 from .cache import ResultCache
-from .dispatch import AffinityQueue, DedupePlan, ResultStream, reanchor
+from .dispatch import DedupePlan, ResultStream, reanchor
 from .workers import Task, TaskResult, execute_task, failure_result, worker_loop
 
 __all__ = ["BatchRunner", "PRIORITY_URGENT", "StreamStats"]
@@ -92,10 +93,6 @@ _STREAM_HITS = OBS.counter(
 _LEASES = OBS.counter(
     "repro_pool_leases_total",
     "Watchdog workers leased to streams",
-)
-_STEALS = OBS.counter(
-    "repro_pool_steals_total",
-    "Structure-affine tasks stolen by a worker outside their group",
 )
 _KILLS = OBS.counter(
     "repro_watchdog_kills_total",
@@ -508,11 +505,11 @@ class BatchRunner:
         tasks = list(tasks)
         stats = StreamStats(total=len(tasks))
         plan = DedupePlan(tasks)
-        work = AffinityQueue(tasks, on_steal=_STEALS.inc)
+        work: deque[tuple[int, Task]] = deque()
         for pos in plan.admit(
             lambda pos, task: self._planned_hit(pos, task, stats)
         ):
-            work.push(pos, tasks[pos])
+            work.append((pos, tasks[pos]))
             stats.enqueue(pos)
         stats.open()
         return ResultStream(
@@ -523,7 +520,7 @@ class BatchRunner:
     def _stream(
         self,
         plan: DedupePlan,
-        work: AffinityQueue,
+        work: deque[tuple[int, Task]],
         stats: StreamStats,
         priority: int = 0,
     ) -> Iterator[TaskResult]:
@@ -546,7 +543,7 @@ class BatchRunner:
                 for _ in range(copies):
                     stats.record_hit()
                 for dup in retry:
-                    work.push(dup, plan.tasks[dup])
+                    work.append((dup, plan.tasks[dup]))
                     stats.enqueue(dup)
                 yield from plan.ready()
         finally:
@@ -631,7 +628,7 @@ class BatchRunner:
         return replace(result, metrics=metrics)
 
     def _pick_strategy(
-        self, tasks: Sequence[Task], work: AffinityQueue
+        self, tasks: Sequence[Task], work: deque[tuple[int, Task]]
     ):
         """Choose the execution strategy for one stream.
 
@@ -660,7 +657,7 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _stream_serial(
         self,
-        work: AffinityQueue,
+        work: deque[tuple[int, Task]],
         stats: StreamStats,
         priority: int = 0,
     ) -> Iterator[tuple[int, TaskResult]]:
@@ -674,7 +671,7 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _stream_watchdog(
         self,
-        work: AffinityQueue,
+        work: deque[tuple[int, Task]],
         stats: StreamStats,
         priority: int = 0,
     ) -> Iterator[tuple[int, TaskResult]]:
@@ -690,17 +687,12 @@ class BatchRunner:
         over-spawning; idle workers are returned as soon as this stream
         has no queued work left for them.
 
-        Dispatch is sticky for structure-grouped tasks
-        (:meth:`AffinityQueue.take`): a group prefers the worker it
-        last ran on while this stream still holds that worker, and an
-        idle worker steals rather than waits.
+        A free worker takes the head of ``work``.  The backend solves a
+        worker made ride home in its result and are counted here: the
+        worker process's own metrics never reach this registry.
         """
         ctx = mp.get_context()
         held: list[_WatchdogWorker] = []
-
-        def live(owner: _WatchdogWorker) -> bool:
-            return any(owner is w for w in held)
-
         try:
             while True:
                 busy = [w for w in held if w.task is not None]
@@ -749,7 +741,7 @@ class BatchRunner:
                     for i, worker in enumerate(held):
                         if worker.task is not None or not work:
                             continue
-                        pos, task = work.take(worker, live)
+                        pos, task = work.popleft()
                         stats.dispatch(pos)
                         try:
                             worker.dispatch(pos, task, self.watchdog_grace)
@@ -799,6 +791,8 @@ class BatchRunner:
                             held[held.index(worker)] = worker.replace(ctx)
                         else:
                             worker.clear()
+                            for event in result.solves:
+                                record_solve(event)
                         yield pos, result
                     elif (
                         worker.deadline is not None and now > worker.deadline

@@ -136,15 +136,7 @@ def build_sweep_tasks(
         # comparable — so memoize generation rather than rebuilding the
         # identical instance once per algorithm.
         instances: dict[tuple[str, int, int], object] = {}
-        # Structure-aware ordering: the sorted cell expansion keeps every
-        # (generator, algorithm) group contiguous across its g values and
-        # reps, so the chain of near-identical LP/MILP structures one
-        # group emits lands consecutively in the task list.  Each task is
-        # tagged with its group so the runner keeps the whole chain on
-        # one worker process.  No backend keeps model state between
-        # solves, so the tag shapes placement only.
         for gen, algorithm, g in sorted(cells):
-            group = _structure_group(grid, gen, algorithm)
             for rep in range(grid.instances_per_cell):
                 seed = _instance_seed(base_seed, gen, g, rep)
                 key = (gen, g, rep)
@@ -167,7 +159,6 @@ def build_sweep_tasks(
                             "rep": rep,
                             "n": grid.n,
                             "horizon": grid.horizon,
-                            "structure_group": group,
                         },
                         timeout=grid.timeout,
                     )
@@ -175,20 +166,6 @@ def build_sweep_tasks(
                 if limit is not None and len(tasks) >= limit:
                     return tasks
     return tasks
-
-
-def _structure_group(grid: SweepGrid, generator: str, algorithm: str) -> str:
-    """Label for tasks whose solves share (near-)identical model structure.
-
-    Generator family × instance size pins the constraint-matrix shape;
-    the algorithm pins which model (LP relaxation vs exact MILP) is
-    built from it.  The label rides in ``Task.meta`` — it does not feed
-    the content digest, so grouping never perturbs cache keys.
-    """
-    return (
-        f"{grid.problem}:{algorithm}:{generator}"
-        f":n{grid.n}:h{grid.horizon}"
-    )
 
 
 def _instance_seed(base_seed: int, generator: str, g: int, rep: int) -> int:

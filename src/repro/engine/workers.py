@@ -29,7 +29,7 @@ import signal
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
 from ..core.jobs import Instance
@@ -77,19 +77,6 @@ class Task:
         """The generator seed, if the task records one (for error context)."""
         return self.meta.get("seed", self.params.get("seed"))
 
-    @property
-    def structure_group(self) -> str | None:
-        """Label of this task's model-structure family, if assigned.
-
-        Sweep expansion tags tasks whose solves build (near-)identical
-        LP/MILP structures (same generator family, size and algorithm);
-        the runner keeps a group sticky to one worker process.  No
-        backend keeps model state between solves, so this shapes
-        placement only.  ``None`` means no affinity preference.
-        """
-        group = self.meta.get("structure_group")
-        return group if isinstance(group, str) else None
-
 
 def make_task(
     index: int,
@@ -119,7 +106,13 @@ def make_task(
 
 @dataclass(frozen=True)
 class TaskResult:
-    """Outcome of one task: metrics on success, an error string otherwise."""
+    """Outcome of one task: metrics on success, an error string otherwise.
+
+    ``solves`` holds the task's backend solve events (see
+    :func:`~repro.solvers.registry.capture_solves`), so a pool worker's
+    solves can be counted in the parent's metrics; it is not part of
+    the record.
+    """
 
     index: int
     digest: str
@@ -134,6 +127,9 @@ class TaskResult:
     elapsed: float = 0.0
     cached: bool = False
     meta: dict[str, Any] = field(default_factory=dict)
+    solves: tuple[dict[str, Any], ...] = field(
+        default=(), repr=False, compare=False
+    )
 
     def to_record(self) -> dict[str, Any]:
         """JSON-serializable form (for JSONL files and the cache)."""
@@ -276,12 +272,9 @@ def execute_task(task: Task) -> TaskResult:
     ``KeyboardInterrupt`` is deliberately *not* captured — it must
     propagate so pool shutdown works.
     """
-    trace = TaskTrace(
-        algorithm=task.algorithm,
-        problem=task.problem,
-        structure_group=task.structure_group,
-    )
+    trace = TaskTrace(algorithm=task.algorithm, problem=task.problem)
     start = time.perf_counter()
+    solves: list[dict[str, Any]] = []  # bound even if the alarm fires first
     try:
         with _alarm(task.timeout), capture_solves() as solves:
             with trace.span("solving"):
@@ -296,15 +289,17 @@ def execute_task(task: Task) -> TaskResult:
         raise
     except TaskTimeout as exc:
         trace.label(status="timeout")
-        return failure_result(
+        failed = failure_result(
             task, str(exc), time.perf_counter() - start, trace=trace
         )
+        return replace(failed, solves=tuple(solves))
     except Exception as exc:
         detail = traceback.format_exception_only(type(exc), exc)[-1].strip()
         trace.label(status="error")
-        return failure_result(
+        failed = failure_result(
             task, detail, time.perf_counter() - start, trace=trace
         )
+        return replace(failed, solves=tuple(solves))
     metrics = dict(outcome.metrics)
     if solves:
         # A task may issue several backend solves (an LP relaxation,
@@ -324,5 +319,6 @@ def execute_task(task: Task) -> TaskResult:
         metrics=metrics,
         elapsed=time.perf_counter() - start,
         meta=task.meta,
+        solves=tuple(solves),
     )
 

@@ -23,18 +23,17 @@ Failure semantics
 * 4xx answers are deterministic validation errors: they become
   ``ok=False`` results immediately, never retries.
 
-Dedupe, sticky placement and the ordered merge are the engine's own
-scheduling core (:mod:`repro.engine.dispatch`), so a task list gets the
-same records here as from the local runner.  Duplicate tasks within one
-run are dispatched once and their results fanned out locally
-(``cached=True``, without the original's trace; the copy still names
-the host that solved the original), and a task re-dispatched after a
-host loss is served from the surviving host's cache if any host solved
-it before — the digest is the same everywhere.  Tasks tagged with a
-``structure_group`` prefer the host their group last ran on; a down
-host's groups count as unbound, and an idle host steals and rebinds
-rather than letting work queue — placement is shaped, never starved.
-This module keeps only windows, probes, retries and the blackout rule.
+Dedupe and the ordered merge are the engine's own scheduling core
+(:mod:`repro.engine.dispatch`), so a task list gets the same records
+here as from the local runner.  Duplicate tasks within one run are
+dispatched once and their results fanned out locally (``cached=True``,
+without the original's trace; the copy still names the host that solved
+the original), and a task re-dispatched after a host loss is served
+from the surviving host's cache if any host solved it before — the
+digest is the same everywhere.  Every window thread takes the head of
+the queue, as the local pool's workers do, and a re-queued task joins
+the back.  This module keeps only windows, probes, retries and the
+blackout rule.
 
 Instrumented with :mod:`repro.obs`: per-host dispatched / completed /
 retried counters, in-flight and host-up gauges, and a per-host task
@@ -48,10 +47,11 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Sequence
 
-from ..engine.dispatch import AffinityQueue, DedupePlan, ResultStream, reanchor
+from ..engine.dispatch import DedupePlan, ResultStream, reanchor
 from ..engine.workers import Task, TaskResult, failure_result
 from ..obs import REGISTRY as OBS
 from ..serve.client import ServeClient, ServeClientError, task_request
@@ -238,9 +238,9 @@ class _Run:
         self.tasks = list(tasks)
         self.payloads = [task_payload(t) for t in self.tasks]
         self.plan = DedupePlan(self.tasks, reuse=_reuse)
-        self.queue = AffinityQueue(self.tasks)  # (pos, attempt) entries
-        for pos in self.plan.admit():
-            self.queue.push(pos, 0)
+        self.queue: deque[tuple[int, int]] = deque(  # (pos, attempt)
+            (pos, 0) for pos in self.plan.admit()
+        )
         self.cond = threading.Condition()
         self.closed = threading.Event()
         self.stats = FabricStats(total=len(self.tasks))
@@ -406,7 +406,7 @@ class RemoteDispatcher:
                     if not run.queue:
                         run.cond.wait(0.2)
                         continue
-                    item = run.queue.take(host, lambda h: not h.down)
+                    item = run.queue.popleft()
                     break
             if probe:
                 try:
@@ -511,7 +511,7 @@ class RemoteDispatcher:
                     ),
                 )
             else:
-                run.queue.push(pos, attempts)
+                run.queue.append((pos, attempts))
             run.cond.notify_all()
 
     def _probe(self, run: _Run, host: _Host) -> None:
@@ -576,7 +576,7 @@ class RemoteDispatcher:
         copies, retry = run.plan.store(pos, result)
         run.stats.dedup_hits += copies
         for dup in retry:
-            run.queue.push(dup, 0)
+            run.queue.append((dup, 0))
 
     def _merge(
         self, run: _Run, threads: list[threading.Thread]

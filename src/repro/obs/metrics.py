@@ -14,9 +14,7 @@ measured in milliseconds; the overhead benchmark pins the total under
 Disabling: ``registry.disable()`` flips one flag every recording call
 checks first, so a registry-disabled run measures the true cost of the
 instrumentation (the benchmark baseline) and embedders can opt out
-wholesale.  Collection-time gauge callbacks (:meth:`Gauge.set_function`)
-still evaluate when the registry is disabled only if rendered
-explicitly — recording is what the flag gates.
+wholesale.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -86,12 +84,11 @@ class _CounterChild(_Child):
 
 
 class _GaugeChild(_Child):
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_value",)
 
     def __init__(self, family: "_MetricFamily") -> None:
         super().__init__(family)
         self._value = 0.0
-        self._fn: Callable[[], float] | None = None
 
     def set(self, value: float) -> None:
         if not self._enabled:
@@ -108,22 +105,8 @@ class _GaugeChild(_Child):
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Evaluate ``fn`` at collection time instead of storing a value.
-
-        For mirroring state owned elsewhere (pool sizes, say) without a
-        write on every change.  Exceptions from ``fn`` surface at render
-        time — keep callbacks trivial.
-        """
-        with self._lock:
-            self._fn = fn
-
     @property
     def value(self) -> float:
-        with self._lock:
-            fn = self._fn
-        if fn is not None:
-            return float(fn())
         with self._lock:
             return self._value
 
@@ -316,7 +299,7 @@ class Counter(_MetricFamily):
 
 
 class Gauge(_MetricFamily):
-    """A value that can go up and down (or be computed at collect time)."""
+    """A value that can go up and down."""
 
     kind = "gauge"
 
@@ -328,9 +311,6 @@ class Gauge(_MetricFamily):
 
     def dec(self, amount: float = 1.0) -> None:
         self._solo().dec(amount)
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        self._solo().set_function(fn)
 
     @property
     def value(self) -> float:

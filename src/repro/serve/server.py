@@ -150,7 +150,7 @@ class RequestError(ValueError):
     """A client error with the HTTP status it should answer with.
 
     ``close`` marks errors raised before the request body was drained
-    (411/413): on keep-alive the unread bytes would be parsed as the
+    (411/413/501): on keep-alive the unread bytes would be parsed as the
     next request line, so the connection must be dropped after the
     error response.
     """
@@ -991,6 +991,7 @@ class ReproAsyncServer:
         except (UnicodeDecodeError, ValueError):
             return None
         headers: dict[str, str] = {}
+        lines = 0  # every header line counts, repeated names included
         while True:
             try:
                 hline = await asyncio.wait_for(
@@ -1000,7 +1001,8 @@ class ReproAsyncServer:
                 return None
             if hline in (b"\r\n", b"\n"):
                 break
-            if not hline or len(headers) > 256:
+            lines += 1
+            if not hline or lines > 256:
                 return None
             name, sep, value = hline.decode("latin-1").partition(":")
             if sep:
@@ -1019,6 +1021,16 @@ class ReproAsyncServer:
         """Route one request; answers whether the connection stays open."""
         path = urlsplit(target).path
         try:
+            if "transfer-encoding" in headers:
+                # Bodies are read by Content-Length only; a coded body
+                # cannot be skipped, so the connection must close
+                # (RFC 9112 section 6.1).
+                raise RequestError(
+                    "Transfer-Encoding is not supported; send the body "
+                    "with a Content-Length header",
+                    status=501,
+                    close=True,
+                )
             if method == "GET":
                 status, live = await self._handle_get(
                     path, headers, writer, keep_alive
@@ -1190,15 +1202,17 @@ class ReproAsyncServer:
     async def _read_body(
         self, headers: dict[str, str], reader: asyncio.StreamReader
     ) -> bytes:
-        try:
-            length = int(headers.get("content-length", ""))
-        except ValueError:
+        value = headers.get("content-length", "")
+        # ASCII digits only: int() would also take "+204", "2_04", "-5"
+        # and non-ASCII digits.
+        if not (value.isascii() and value.isdigit()):
             raise RequestError(
                 "missing or malformed Content-Length header",
                 status=411,
                 close=True,
-            ) from None
-        if length < 0 or length > _MAX_BODY_BYTES:
+            )
+        length = int(value)
+        if length > _MAX_BODY_BYTES:
             raise RequestError(
                 f"request body of {length} bytes exceeds the "
                 f"{_MAX_BODY_BYTES}-byte limit",

@@ -2,7 +2,7 @@
 
 A backend is anything that can take a :class:`~repro.solvers.ir.LinearProgram`
 and return a :class:`SolverResult`.  The contract is deliberately small —
-``solve``, ``capabilities``, ``available`` — so that wrapping a new solver
+``solve`` and ``capabilities`` — so that wrapping a new solver
 is a one-file affair (see :mod:`repro.solvers.scipy_backend` for the scipy
 adapter and :mod:`repro.solvers.reference` for the from-scratch dense
 simplex).
@@ -93,10 +93,6 @@ class SolverBackend(Protocol):
     def capabilities(self) -> frozenset[str]:
         """Declared abilities: a set drawn from ``{"lp", "milp",
         "sparse", "dependency-free", "tiny"}`` (extensible)."""
-        ...
-
-    def available(self) -> bool:
-        """False when a soft dependency is missing in this environment."""
         ...
 
     def solve(

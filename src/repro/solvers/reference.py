@@ -220,9 +220,6 @@ class ReferenceBackend:
     def capabilities(self) -> frozenset[str]:
         return frozenset({"lp", "milp", "dependency-free", "tiny"})
 
-    def available(self) -> bool:
-        return True
-
     # ------------------------------------------------------------------
     def solve(
         self,

@@ -8,8 +8,10 @@ Selection rules, in order:
 
 1. an explicit ``backend=`` argument (a name or a backend instance) wins;
 2. otherwise the ``REPRO_LP_BACKEND`` environment variable;
-3. otherwise the default (``scipy-highs``), falling back to the first
-   *available* backend that has every required capability.
+3. otherwise the default (``scipy-highs``).
+
+Whichever backend is picked must have every capability the solve
+requires, or the call raises.
 
 A typo'd name raises ``ValueError`` carrying the full backend menu —
 the same UX as the sweep CLI's generator/algorithm filters — so scripts
@@ -40,6 +42,7 @@ __all__ = [
     "backend_status",
     "capture_solves",
     "get_backend",
+    "record_solve",
     "register_backend",
     "resolve_backend",
     "solve_ir",
@@ -105,10 +108,8 @@ def backend_names() -> tuple[str, ...]:
 
 
 def available_backend_names() -> tuple[str, ...]:
-    """Names of backends whose dependencies are importable here."""
-    return tuple(
-        name for name in backend_names() if _BACKENDS[name].available()
-    )
+    """Names of backends usable here: every registered one."""
+    return backend_names()
 
 
 def backend_menu() -> str:
@@ -157,9 +158,7 @@ def resolve_backend(
         ``None`` for "environment, then default".
     require:
         Capabilities the solve needs (``{"lp"}``, ``{"milp"}``, ...).
-        An *explicitly* requested backend missing one is an error; the
-        *default* silently falls back to the first available backend
-        that has them all (capability routing).
+        A chosen backend missing one is an error carrying the menu.
     """
     need = frozenset(require)
     if backend is not None and not isinstance(backend, str):
@@ -171,34 +170,17 @@ def resolve_backend(
             )
         return backend
 
-    explicit = backend if backend is not None else os.environ.get(
-        BACKEND_ENV_VAR
-    )
-    if explicit:
-        chosen = get_backend(explicit)
-        missing = need - chosen.capabilities()
-        if missing:
-            raise ValueError(
-                f"backend {explicit!r} lacks required capabilities "
-                f"{sorted(missing)}; available backends: {backend_menu()}"
-            )
-        return chosen
-
-    default = _BACKENDS.get(DEFAULT_BACKEND)
-    if (
-        default is not None
-        and default.available()
-        and need <= default.capabilities()
-    ):
-        return default
-    for name in backend_names():
-        candidate = _BACKENDS[name]
-        if candidate.available() and need <= candidate.capabilities():
-            return candidate
-    raise ValueError(
-        f"no available backend provides {sorted(need)}; "
-        f"registered backends: {backend_menu()}"
-    )
+    if backend is None:
+        backend = os.environ.get(BACKEND_ENV_VAR)
+    name = backend or DEFAULT_BACKEND
+    chosen = get_backend(name)
+    missing = need - chosen.capabilities()
+    if missing:
+        raise ValueError(
+            f"backend {name!r} lacks required capabilities "
+            f"{sorted(missing)}; available backends: {backend_menu()}"
+        )
+    return chosen
 
 
 def solve_ir(
@@ -220,22 +202,33 @@ def solve_ir(
     elapsed = time.perf_counter() - start
     if result.elapsed == 0.0:  # backend didn't time itself
         result = replace(result, elapsed=elapsed)
-    kind = lp.required_capability
-    _BACKEND_SECONDS.labels(backend=chosen.name, kind=kind).observe(elapsed)
-    _BACKEND_SOLVES.labels(backend=chosen.name, status=result.status).inc()
+    event = {
+        "backend": chosen.name,
+        "kind": lp.required_capability,
+        "status": result.status,
+        "elapsed": elapsed,
+        "warm_start_used": False,
+        "structure_hit": False,
+    }
+    record_solve(event)
     events = getattr(_CAPTURE, "events", None)
     if events is not None:
-        events.append(
-            {
-                "backend": chosen.name,
-                "kind": kind,
-                "status": result.status,
-                "elapsed": elapsed,
-                "warm_start_used": False,
-                "structure_hit": False,
-            }
-        )
+        events.append(event)
     return result
+
+
+def record_solve(event: Mapping[str, Any]) -> None:
+    """Count one solve event in this process's backend metrics.
+
+    :func:`solve_ir` calls it for every solve; the engine calls it for
+    the events a pool worker ships home with its result, since the
+    worker's own counts never reach the parent's ``/metrics``.
+    """
+    backend = event["backend"]
+    _BACKEND_SECONDS.labels(backend=backend, kind=event["kind"]).observe(
+        event["elapsed"]
+    )
+    _BACKEND_SOLVES.labels(backend=backend, status=event["status"]).inc()
 
 
 # ----------------------------------------------------------------------

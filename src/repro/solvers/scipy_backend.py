@@ -39,9 +39,6 @@ class ScipyHighsBackend:
     def capabilities(self) -> frozenset[str]:
         return frozenset({"lp", "milp", "sparse"})
 
-    def available(self) -> bool:
-        return True  # scipy is a hard dependency of the package
-
     # ------------------------------------------------------------------
     def solve(
         self,

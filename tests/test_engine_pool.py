@@ -305,3 +305,41 @@ class TestPriorityLeases:
         finally:
             runner.close()
         assert OBS.value("repro_pool_leases_total") >= before + 1
+
+
+def _backend_counts():
+    """Parent-side backend solve counts: verdicts and latency samples."""
+    solves = OBS.get("repro_backend_solves_total")
+    seconds = OBS.get("repro_backend_solve_seconds")
+    counts = {}
+    if solves is not None:
+        for labels, child in solves.children():
+            counts[("solves", *labels.values())] = child.value
+    if seconds is not None:
+        for labels, child in seconds.children():
+            counts[("seconds", *labels.values())] = child.count
+    return counts
+
+
+class TestWorkerSolveMetrics:
+    def test_pool_solves_count_in_the_parent(self):
+        # A pool worker records its backend solves in its own registry;
+        # the events riding home in each result must count in the
+        # parent exactly as an in-process run counts them.
+        tasks = _tasks(_instances(6, seed=500), algorithm="rounding")
+        deltas = []
+        for jobs in (1, 2):
+            before = _backend_counts()
+            with BatchRunner(jobs=jobs) as runner:
+                results = runner.run(tasks)
+            assert all(r.ok for r in results), [r.error for r in results]
+            after = _backend_counts()
+            deltas.append({
+                key: value - before.get(key, 0)
+                for key, value in after.items()
+                if value != before.get(key, 0)
+            })
+        serial, pooled = deltas
+        assert serial == pooled
+        assert serial[("solves", "scipy-highs", "optimal")] == 6
+        assert serial[("seconds", "scipy-highs", "lp")] == 6

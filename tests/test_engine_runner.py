@@ -529,191 +529,63 @@ class TestResultsStore:
 
 
 class TestStructureAffinity:
-    def test_sweep_tasks_carry_structure_groups(self):
-        from repro.engine import SweepGrid, build_sweep_tasks
+    """Sweep tasks come in runs of one (generator, algorithm) cell, whose
+    solves share a model structure; dispatch ignores that and keeps
+    task order."""
 
-        tasks = build_sweep_tasks(
+    @staticmethod
+    def _sweep_tasks():
+        return build_sweep_tasks(
             [
                 SweepGrid(
                     problem="active",
-                    generators=("active", "tight"),
+                    generators=("active",),
                     algorithms=("minimal", "rounding"),
-                    g_values=(3, 4),
+                    g_values=(3,),
                     instances_per_cell=2,
                 )
             ]
         )
-        groups = [t.structure_group for t in tasks]
-        assert all(g is not None for g in groups)
-        # one group per (generator, algorithm) pair
-        assert len(set(groups)) == 4
-        # grouping never feeds the digest: the group label lives in meta
-        assert all("structure_group" in t.meta for t in tasks)
-        # groups are contiguous runs in the expansion order, so a sticky
-        # worker sees its whole chain back-to-back
-        seen: list[str] = []
-        for g in groups:
-            if not seen or seen[-1] != g:
-                assert g not in seen, f"group {g} not contiguous"
-                seen.append(g)
 
-    def test_structure_group_property_guards_type(self, small_instances):
-        from repro.engine import make_task
+    def test_pool_dispatches_sweep_cells_in_task_order(self, monkeypatch):
+        # Two free workers take the queue head in turn: the second gets
+        # position 1, not the first task of the next cell.
+        from repro.engine.runner import _WatchdogWorker
 
-        task = make_task(
-            0, "active", "minimal", 2, small_instances[0],
-            meta={"structure_group": 42},
-        )
-        assert task.structure_group is None
-        assert make_task(
-            0, "active", "minimal", 2, small_instances[0]
-        ).structure_group is None
-
-    def _grouped_work(self, small_instances, groups):
-        from repro.engine import make_task
-        from repro.engine.dispatch import AffinityQueue
-
-        tasks = [
-            make_task(
-                i, "active", "minimal", 2, small_instances[0],
-                meta=({"structure_group": g} if g is not None else {}),
-            )
-            for i, g in enumerate(groups)
+        tasks = self._sweep_tasks()
+        assert [t.algorithm for t in tasks] == [
+            "minimal", "minimal", "rounding", "rounding"
         ]
-        work = AffinityQueue(tasks)
-        for i, task in enumerate(tasks):
-            work.push(i, task)
-        return work
+        dispatched = []
+        dispatch = _WatchdogWorker.dispatch
 
-    @staticmethod
-    def _live(*held):
-        """The runner's liveness rule: a worker the stream still holds."""
-        return lambda w: any(w is h for h in held)
+        def recording(worker, pos, task, grace):
+            dispatched.append(pos)
+            dispatch(worker, pos, task, grace)
 
-    def test_take_task_prefers_bound_group(self, small_instances):
-        w1, w2 = object(), object()
-        live = self._live(w1, w2)
-        work = self._grouped_work(small_instances, ["A", "B", "A"])
-        # w1 takes the head and binds group A
-        pos, task = work.take(w1, live)
-        assert pos == 0 and work.bound["A"] is w1
-        # w2 skips A's continuation (bound to live w1) and takes B
-        pos, task = work.take(w2, live)
-        assert pos == 1 and work.bound["B"] is w2
-        # w1 gets its own group's continuation
-        pos, task = work.take(w1, live)
-        assert pos == 2 and not work
-
-    def test_take_task_steals_rather_than_idles(self, small_instances):
-        w1, w2 = object(), object()
-        live = self._live(w1, w2)
-        work = self._grouped_work(small_instances, ["A", "A"])
-        work.take(w1, live)
-        # every queued task belongs to w1's group, but w2 must not idle:
-        # it steals the head and the group rebinds
-        pos, task = work.take(w2, live)
-        assert pos == 1 and work.bound["A"] is w2
-
-    def test_take_task_rebinds_groups_of_departed_workers(
-        self, small_instances
-    ):
-        gone, alive = object(), object()
-        live = self._live(alive)  # ``gone`` was killed/replaced or shed
-        work = self._grouped_work(small_instances, ["A"])
-        work.bound["A"] = gone
-        pos, task = work.take(alive, live)
-        assert pos == 0 and work.bound["A"] is alive
-
-    def test_take_task_prefers_ungrouped_over_foreign_group(
-        self, small_instances
-    ):
-        w1, w2 = object(), object()
-        live = self._live(w1, w2)
-        work = self._grouped_work(small_instances, ["A", None])
-        work.bound["A"] = w1
-        pos, task = work.take(w2, live)
-        assert pos == 1 and task.structure_group is None
-
-    def test_take_task_pops_head_without_scanning_when_nothing_is_bound(
-        self, small_instances
-    ):
-        # Ungrouped streams never bind a group, so dispatch must not
-        # walk the queue: a walk per dispatch makes a drain O(n^2).
-        from collections import deque
-
-        class NoScan(deque):
-            def __iter__(self):
-                raise AssertionError("queue scanned with no group bound")
-
-        w1, w2 = object(), object()
-        live = self._live(w1, w2)
-        work = self._grouped_work(small_instances, [None, "A", None])
-        work._pending = NoScan(work._pending)
-        pos, task = work.take(w1, live)
-        assert pos == 0 and work.bound == {}
-        # the head's group (if any) is bound exactly as the scan would
-        pos, task = work.take(w2, live)
-        assert pos == 1 and work.bound == {"A": w2}
-        assert len(work) == 1 and work.popleft()[0] == 2
-
-    def test_take_rebinds_a_down_owners_group_in_queue_order(
-        self, small_instances
-    ):
-        # Host A binds g with task 0 and then goes down: g counts as
-        # unbound, so host B keeps queue order instead of draining every
-        # ungrouped task first.
-        a, b = object(), object()
-        up = [a, b]
-        work = self._grouped_work(
-            small_instances, ["g", "g", "g", None, None, None]
-        )
-
-        def live(owner):
-            return any(owner is h for h in up)
-
-        assert work.take(a, live)[0] == 0
-        up.remove(a)
-        assert [work.take(b, live)[0] for _ in range(5)] == [1, 2, 3, 4, 5]
-        assert work.bound["g"] is b
-
-    def test_grouped_tasks_route_to_watchdog_when_parallel(
-        self, small_instances
-    ):
-        from repro.engine import make_task
-        from repro.engine.runner import BatchRunner
-
-        grouped = [
-            make_task(
-                i, "active", "minimal", 3, small_instances[i % 2],
-                meta={"structure_group": "G"},
-            )
-            for i in range(4)
-        ]
-        plain = [
-            make_task(i, "active", "minimal", 3, small_instances[i % 2])
-            for i in range(4)
-        ]
+        monkeypatch.setattr(_WatchdogWorker, "dispatch", recording)
         with BatchRunner(jobs=2) as runner:
-            work = [(i, t) for i, t in enumerate(grouped)]
+            results = runner.run(tasks)
+        assert dispatched == [0, 1, 2, 3]
+        assert [r.index for r in results] == [0, 1, 2, 3]
+
+    def test_grouped_tasks_route_to_watchdog_when_parallel(self):
+        tasks = self._sweep_tasks()
+        work = [(i, t) for i, t in enumerate(tasks)]
+        with BatchRunner(jobs=2) as runner:
             assert (
-                runner._pick_strategy(grouped, work)
-                == runner._stream_watchdog
-            )
-            # ungrouped, undeadlined streams share the same pool
-            plain_work = [(i, t) for i, t in enumerate(plain)]
-            assert (
-                runner._pick_strategy(plain, plain_work)
+                runner._pick_strategy(tasks, work)
                 == runner._stream_watchdog
             )
             # one undeadlined pending task is solved in-process
             assert (
-                runner._pick_strategy(plain[:1], plain_work[:1])
+                runner._pick_strategy(tasks[:1], work[:1])
                 == runner._stream_serial
             )
-        # jobs=1 stays serial regardless of grouping
+        # jobs=1 stays serial
         with BatchRunner(jobs=1) as runner:
             assert (
-                runner._pick_strategy(grouped, work)
+                runner._pick_strategy(tasks, work)
                 == runner._stream_serial
             )
 

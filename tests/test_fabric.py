@@ -8,10 +8,12 @@ runs deterministically with no sockets or subprocesses involved.
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core import Instance
+from repro.engine import SweepGrid, build_sweep_tasks
 from repro.engine.workers import TaskResult, make_task
 from repro.fabric import RemoteDispatcher, normalize_hosts, task_payload
 from repro.serve.client import ServeClientError
@@ -96,18 +98,12 @@ def make_dispatcher(servers, **kwargs):
     )
 
 
-def make_tasks(count, *, g=2, start=0, groups=None):
-    """``count`` distinct-digest tasks, keyed by ``meta["k"]``.
-
-    ``groups`` optionally names each task's structure group (or None).
-    """
+def make_tasks(count, *, g=2, start=0):
+    """``count`` distinct-digest tasks, keyed by ``meta["k"]``."""
     tasks = []
     for i in range(count):
         k = start + i
         inst = Instance.from_tuples([(0, 4 + k, 2), (1, 5 + k, 3)])
-        meta = {"k": k}
-        if groups is not None and groups[i] is not None:
-            meta["structure_group"] = groups[i]
         tasks.append(
             make_task(
                 index=i,
@@ -115,7 +111,7 @@ def make_tasks(count, *, g=2, start=0, groups=None):
                 algorithm="first_fit",
                 g=g,
                 instance=inst,
-                meta=meta,
+                meta={"k": k},
             )
         )
     return tasks
@@ -328,38 +324,11 @@ class TestDedupe:
 
 
 class TestPlacement:
-    def test_ungrouped_picks_never_scan_the_queue(self, monkeypatch):
-        # With no structure group bound, every pick pops the head: a
-        # walk per dispatch would make a drain O(n^2) under the lock.
-        from collections import deque
-
-        import repro.fabric.dispatcher as dispatcher_module
-        from repro.engine.dispatch import AffinityQueue
-
-        scans = []
-
-        class NoScan(deque):
-            def __iter__(self):
-                scans.append(len(self))
-                return super().__iter__()
-
-        class NoScanQueue(AffinityQueue):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self._pending = NoScan()
-
-        monkeypatch.setattr(dispatcher_module, "AffinityQueue", NoScanQueue)
-        servers = {URL_A: FakeServer(jobs=2), URL_B: FakeServer(jobs=2)}
-        results = make_dispatcher(servers).run(make_tasks(40))
-        assert [r.index for r in results] == list(range(40))
-        assert all(r.ok for r in results)
-        assert scans == []
-
-    def test_down_hosts_group_rebinds_in_queue_order(self):
-        # Host A binds group g with task 0, and that solve takes A down
-        # (task 0 re-queues at the back).  B is dark until then; once up
-        # it must treat g as unbound and keep queue order rather than
-        # drain every ungrouped task first.
+    def test_down_hosts_task_requeues_at_the_back(self):
+        # Host A takes task 0, and that solve takes A down: task 0
+        # re-queues at the back.  B is dark until then; once up it takes
+        # the queue head every time, so the rest of task 0's sweep cell
+        # does not pull it forward.
         servers = {URL_A: FakeServer(jobs=1), URL_B: FakeServer(jobs=1)}
         a, b = servers[URL_A], servers[URL_B]
         b.health_failures = 10**6
@@ -372,12 +341,21 @@ class TestPlacement:
             raise ServeClientError("connection reset", status=0)
 
         a.solve_payload = dying_solve
-        tasks = make_tasks(6, groups=["g", "g", "g", None, None, None])
+        grid = SweepGrid(
+            problem="active",
+            generators=("active",),
+            algorithms=("minimal", "rounding"),
+            g_values=(3,),
+            instances_per_cell=3,
+        )
+        tasks = [
+            replace(task, meta=dict(task.meta, k=task.index))
+            for task in build_sweep_tasks([grid])
+        ]
         results = make_dispatcher(servers).run(tasks)
         assert all(r.ok for r in results)
         assert a.solved == []
-        # g's continuation (and the re-queued task 0, now B's own) first
-        assert b.solved == [1, 2, 0, 3, 4, 5]
+        assert b.solved == [1, 2, 3, 4, 5, 0]
 
 
 class TestFailureHandling:

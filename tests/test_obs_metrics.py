@@ -65,15 +65,6 @@ class TestGauge:
         g.dec(3)
         assert g.value == 4
 
-    def test_set_function_evaluates_at_read(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("resident", "help")
-        state = {"v": 1.0}
-        g.set_function(lambda: state["v"])
-        assert g.value == 1.0
-        state["v"] = 7.0
-        assert g.value == 7.0
-
 
 class TestHistogram:
     def test_bucket_counts_and_sum(self):

@@ -463,6 +463,123 @@ class TestHTTPPlumbing:
             conn.close()
 
 
+def _raw_exchange(server, request: bytes, *, half_close=False):
+    """Send raw bytes and read until the server closes the connection.
+
+    Answers ``(status or None, closed)``: ``status`` is ``None`` when the
+    server closed without a response; ``closed`` is False when it kept
+    the connection open past the read timeout.
+    """
+    host, port = server.server_address[:2]
+    chunks = []
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        closed = True
+        try:
+            while data := sock.recv(65536):
+                chunks.append(data)
+        except ConnectionResetError:
+            pass
+        except socket.timeout:
+            closed = False
+    raw = b"".join(chunks)
+    status = int(raw.split(None, 2)[1]) if raw else None
+    return status, closed
+
+
+_SOLVE_BODY = json.dumps({
+    "instance": {"jobs": [[0, 4, 2], [1, 5, 3]]},
+    "problem": "active",
+    "algorithm": "minimal",
+    "g": 2,
+}).encode()
+
+
+def _post(length: str, *, extra: str = "", body: bytes = _SOLVE_BODY):
+    head = (
+        "POST /solve HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Type: application/json\r\n{extra}"
+        + (f"Content-Length: {length}\r\n" if length is not None else "")
+        + "\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+_LENGTH = str(len(_SOLVE_BODY))
+_CHUNKED = (
+    f"{len(_SOLVE_BODY):x}\r\n".encode() + _SOLVE_BODY + b"\r\n0\r\n\r\n"
+)
+
+#: ``(request bytes, half-close after sending, expected status)``; a
+#: ``None`` status means the server must close without answering.
+_MALFORMED_REQUESTS = {
+    "underscore-length": (
+        _post(f"{_LENGTH[0]}_{_LENGTH[1:]}"), False, 411
+    ),
+    "signed-length": (_post("+" + _LENGTH), False, 411),
+    "negative-length": (_post("-5"), False, 411),
+    "chunked-and-length": (
+        _post(
+            str(len(_CHUNKED)),
+            extra="Transfer-Encoding: chunked\r\n",
+            body=_CHUNKED,
+        ),
+        False,
+        501,
+    ),
+    "chunked-alone": (
+        _post(None, extra="Transfer-Encoding: chunked\r\n", body=_CHUNKED),
+        False,
+        501,
+    ),
+    "two-token-request-line": (b"GET /healthz\r\n\r\n", False, None),
+    "non-ascii-request-line": (
+        b"GET /h\xe9althz HTTP/1.1\r\n\r\n", False, None
+    ),
+    "too-many-headers": (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: v\r\n" % i for i in range(300))
+        + b"\r\n",
+        False,
+        None,
+    ),
+    "too-many-repeated-headers": (
+        b"GET /healthz HTTP/1.1\r\n" + b"X-H: v\r\n" * 300 + b"\r\n",
+        False,
+        None,
+    ),
+    "truncated-body": (
+        _post(_LENGTH, body=_SOLVE_BODY[: len(_SOLVE_BODY) // 2]),
+        True,
+        400,
+    ),
+    "unsupported-method": (
+        b"PUT /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
+        False,
+        501,
+    ),
+}
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "request_bytes, half_close, expected",
+        list(_MALFORMED_REQUESTS.values()),
+        ids=list(_MALFORMED_REQUESTS),
+    )
+    def test_is_refused_and_server_stays_healthy(
+        self, server, request_bytes, half_close, expected
+    ):
+        status, closed = _raw_exchange(
+            server, request_bytes, half_close=half_close
+        )
+        assert (status, closed) == (expected, True)
+        healthz = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        assert _raw_exchange(server, healthz) == (200, True)
+
+
 class TestParseTaskRequest:
     """Unit-level validation, independent of HTTP."""
 

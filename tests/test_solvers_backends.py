@@ -51,9 +51,6 @@ class _LpOnly:
     def capabilities(self):
         return frozenset({"lp"})
 
-    def available(self):
-        return True
-
     def solve(self, lp, *, time_limit=None, options=None):
         raise NotImplementedError
 
@@ -356,21 +353,33 @@ class TestBackendSelection:
         assert "lacks required capabilities ['milp']" in message
         assert backend_menu() in message
 
-    def test_default_falls_back_to_first_capable_backend(self, monkeypatch):
+    def test_default_lacking_capability_errors_without_fallback(
+        self, monkeypatch
+    ):
         from repro.solvers import registry
 
         stub = _LpOnly(DEFAULT_BACKEND)
         monkeypatch.setitem(registry._BACKENDS, DEFAULT_BACKEND, stub)
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert resolve_backend(None, require={"lp"}) is stub
-        assert resolve_backend(None, require={"milp"}).name == "reference"
+        # ``reference`` has milp, but the default is never swapped out
+        with pytest.raises(ValueError) as exc:
+            resolve_backend(None, require={"milp"})
+        message = str(exc.value)
+        assert (
+            f"backend {DEFAULT_BACKEND!r} lacks required capabilities "
+            "['milp']"
+        ) in message
+        assert backend_menu() in message
 
     def test_no_backend_with_capability_errors(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         with pytest.raises(ValueError) as exc:
             resolve_backend(None, require={"quantum"})
         message = str(exc.value)
-        assert "no available backend provides ['quantum']" in message
+        assert (
+            "backend 'scipy-highs' lacks required capabilities ['quantum']"
+        ) in message
         assert backend_menu() in message
 
     def test_backend_menu_lists_every_backend_with_capabilities(self):
@@ -410,10 +419,7 @@ class TestBackendSelection:
         assert backend_names() == ("reference", "scipy-highs")
 
     def test_available_names_subset(self):
-        available = available_backend_names()
-        assert set(available) <= set(backend_names())
-        assert "scipy-highs" in available
-        assert "reference" in available
+        assert available_backend_names() == backend_names()
 
     def test_builtin_backends_are_default_and_reference(self):
         assert backend_names() == ("reference", "scipy-highs")
