@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark/experiment harness.
 
-Each ``test_bench_*.py`` file regenerates one experiment from DESIGN.md's
-per-experiment index: it measures runtime with pytest-benchmark, asserts the
-paper's *shape* claims (who wins, by roughly what factor, where the trend
-goes), and prints the claimed-vs-measured rows.  Run with::
+Each ``test_bench_*.py`` file regenerates one experiment: it measures
+runtime with pytest-benchmark, asserts the paper's *shape* claims (who wins,
+by roughly what factor, where the trend goes), and prints the
+claimed-vs-measured rows.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 """

@@ -1,6 +1,6 @@
 """E18 (ablation) — anatomy of the LP-rounding algorithm.
 
-Design-choice ablations DESIGN.md calls out for the Theorem-2 implementation:
+Design-choice ablations for the Theorem-2 implementation:
 
 * how often each proof mechanism fires (carry/proxy vs half-open vs
   dependent/trio/filler charges) across instance families;

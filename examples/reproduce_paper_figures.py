@@ -4,8 +4,7 @@
 A compact version of the ``benchmarks/`` harness: for each paper artefact it
 builds the gadget, computes the claimed quantities with the library's own
 solvers and prints claimed-vs-measured.  (The full harness with runtime
-measurements lives in ``benchmarks/``; see EXPERIMENTS.md for the recorded
-outputs.)
+measurements lives in ``benchmarks/``.)
 
 Run:  python examples/reproduce_paper_figures.py
 """

@@ -1,20 +1,8 @@
 """Active-time scheduling: Theorem 1 (minimal feasible) and Theorem 2 (LP rounding)."""
 
-from .capacity import (
-    capacity_frontier,
-    minimum_feasible_capacity,
-    window_pressure_bound,
-)
 from .charging import ChargeRecord, ChargingError, ChargingLedger
 from .exact import brute_force_active_time, exact_active_time, lower_bound_mass
 from .minimal_feasible import close_slots_greedily, minimal_feasible_schedule
-from .multi_machine import (
-    MultiMachineSolution,
-    is_feasible_multiplicity,
-    multi_machine_exact,
-    multi_machine_lazy_greedy,
-    multi_machine_lp_bound,
-)
 from .rightshift import RightShiftedSolution, classify_slot, right_shift, snap
 from .rounding import IterationRecord, RoundedSolution, round_active_time
 from .schedule import ActiveTimeSchedule, VerificationError, schedule_from_slots
@@ -26,26 +14,18 @@ __all__ = [
     "ChargingError",
     "ChargingLedger",
     "IterationRecord",
-    "MultiMachineSolution",
     "RightShiftedSolution",
     "RoundedSolution",
     "VerificationError",
     "brute_force_active_time",
-    "capacity_frontier",
     "classify_slot",
     "close_slots_greedily",
     "exact_active_time",
-    "is_feasible_multiplicity",
     "lower_bound_mass",
     "minimal_feasible_schedule",
-    "minimum_feasible_capacity",
-    "multi_machine_exact",
-    "multi_machine_lazy_greedy",
-    "multi_machine_lp_bound",
     "right_shift",
     "round_active_time",
     "schedule_from_slots",
     "snap",
     "unit_jobs_optimal_schedule",
-    "window_pressure_bound",
 ]

@@ -1,4 +1,4 @@
-"""Programmatic experiment registry (the DESIGN.md per-experiment index).
+"""Programmatic experiment registry.
 
 Each entry regenerates one paper artefact and returns its table; the CLI's
 ``experiments`` command and :mod:`examples/reproduce_paper_figures` both

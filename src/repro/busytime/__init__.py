@@ -19,7 +19,6 @@ from .exact import (
 from .firstfit import first_fit, fits_in_bundle
 from .flexible import INTERVAL_ALGORITHMS, schedule_flexible
 from .greedy_tracking import extract_tracks, greedy_tracking, proper_witness_set
-from .local_search import improve_schedule
 from .maximization import greedy_throughput, maximize_throughput_exact
 from .kumar_rudra import assign_levels, kumar_rudra, two_color_level
 from .preemptive import (
@@ -28,7 +27,6 @@ from .preemptive import (
     greedy_unbounded_preemptive,
     preemptive_bounded,
 )
-from .stats import ScheduleStats, compute_stats
 from .span_search import earliest_fit_span, span_search_exact
 from .schedule import Bundle, BusyTimeSchedule, BusyVerificationError
 from .special_cases import clique_greedy, proper_clique_exact, proper_greedy
@@ -59,7 +57,6 @@ __all__ = [
     "DemandProfile",
     "INTERVAL_ALGORITHMS",
     "PreemptivePiece",
-    "ScheduleStats",
     "PreemptiveSchedule",
     "UnboundedPlacement",
     "WidthBundle",
@@ -73,7 +70,6 @@ __all__ = [
     "chain_peeling_two_approx",
     "clique_greedy",
     "compute_demand_profile",
-    "compute_stats",
     "demand_profile_lower_bound",
     "earliest_fit_span",
     "exact_busy_time_flexible",
@@ -83,7 +79,6 @@ __all__ = [
     "first_fit",
     "fits_in_bundle",
     "greedy_throughput",
-    "improve_schedule",
     "greedy_tracking",
     "greedy_unbounded_preemptive",
     "is_track",

@@ -8,8 +8,8 @@ bounded-``g`` optimum (Observation 3).
 
 Here the placement is produced by the exact pseudo-polynomial MILP
 (:func:`repro.lp.milp.solve_unbounded_span_exact`), which returns the same
-optimal value with a different mechanism (see DESIGN.md's substitution
-table).  Interval instances bypass the solver entirely; non-integral flexible
+optimal value with a different mechanism (see README's "Paper mapping",
+§4.3).  Interval instances bypass the solver entirely; non-integral flexible
 instances must supply their placement explicitly — exactly how the paper's
 own Figure 9/10 constructions pin adversarial dynamic-program outputs.
 """

@@ -1,14 +1,6 @@
 """Core data model: jobs, instances and interval algebra."""
 
 from .jobs import TIME_EPS, Instance, Job
-from .interval_graphs import (
-    chromatic_number,
-    greedy_color,
-    is_bipartite_overlap,
-    max_clique,
-    max_independent_set,
-    overlap_edges,
-)
 from .intervals import (
     coverage_counts,
     interesting_intervals,
@@ -33,13 +25,7 @@ __all__ = [
     "TIME_EPS",
     "Instance",
     "Job",
-    "chromatic_number",
     "coverage_counts",
-    "greedy_color",
-    "is_bipartite_overlap",
-    "max_clique",
-    "max_independent_set",
-    "overlap_edges",
     "interesting_intervals",
     "intersect",
     "intersection_length",

@@ -374,6 +374,9 @@ class RemoteDispatcher:
                     window = max(1, min(self.max_window, capacity))
                 except (ServeClientError, ValueError, TypeError):
                     window, down = 1, True
+                finally:
+                    # Window threads open their own connections.
+                    client.close()
             host = _Host(url, client, window)
             host.down = down
             hosts.append(host)
@@ -389,34 +392,37 @@ class RemoteDispatcher:
     # Worker threads (window slots)
     # ------------------------------------------------------------------
     def _worker(self, run: _Run, host: _Host) -> None:
-        while True:
-            item: tuple[int, int] | None = None
-            probe = False
-            with run.cond:
-                while True:
-                    if run.finished:
-                        return
-                    if host.down:
-                        if not host.probing:
-                            host.probing = True
-                            probe = True
-                            break
-                        run.cond.wait(0.2)
-                        continue
-                    if not run.queue:
-                        run.cond.wait(0.2)
-                        continue
-                    item = run.queue.popleft()
-                    break
-            if probe:
-                try:
-                    self._probe(run, host)
-                finally:
-                    with run.cond:
-                        host.probing = False
-                        run.cond.notify_all()
-            elif item is not None:
-                self._dispatch(run, host, *item)
+        try:
+            while True:
+                item: tuple[int, int] | None = None
+                probe = False
+                with run.cond:
+                    while True:
+                        if run.finished:
+                            return
+                        if host.down:
+                            if not host.probing:
+                                host.probing = True
+                                probe = True
+                                break
+                            run.cond.wait(0.2)
+                            continue
+                        if not run.queue:
+                            run.cond.wait(0.2)
+                            continue
+                        item = run.queue.popleft()
+                        break
+                if probe:
+                    try:
+                        self._probe(run, host)
+                    finally:
+                        with run.cond:
+                            host.probing = False
+                            run.cond.notify_all()
+                elif item is not None:
+                    self._dispatch(run, host, *item)
+        finally:
+            host.client.close()  # this thread's keep-alive connection
 
     def _dispatch(
         self, run: _Run, host: _Host, pos: int, attempt: int

@@ -10,7 +10,6 @@ from .gadgets import (
     figure10,
     lp_gap,
 )
-from .traces import bursty_trace, diurnal_trace, heavy_tailed_trace
 from .generators import (
     PROBLEM_GENERATORS,
     SWEEP_GENERATORS,
@@ -35,9 +34,6 @@ __all__ = [
     "figure9",
     "figure10",
     "lp_gap",
-    "bursty_trace",
-    "diurnal_trace",
-    "heavy_tailed_trace",
     "random_active_time_instance",
     "random_clique_instance",
     "random_flexible_instance",

@@ -182,9 +182,10 @@ class ServeClient:
     def close(self) -> None:
         """Close the calling thread's persistent connection (if any).
 
-        Other threads' connections close when their thread ends or via
-        their own :meth:`close` call; the client remains usable after —
-        the next request simply reconnects.
+        Other threads' connections stay open until those threads call
+        :meth:`close` themselves; a thread that ends without it leaves
+        its socket to the garbage collector, unclosed.  The client
+        remains usable after — the next request simply reconnects.
         """
         self._drop_connection()
 

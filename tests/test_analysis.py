@@ -10,6 +10,7 @@ from repro.analysis import (
     format_series,
     format_table,
     summarize,
+    summarize_groups,
 )
 
 
@@ -39,6 +40,28 @@ class TestSummarize:
         s = summarize(collect_ratios("alg", [(2, 1)]))
         row = s.row()
         assert "alg" in row and "n=1" in row
+
+
+class TestSummarizeGroups:
+    def test_one_summary_per_label_sorted(self):
+        samples = collect_ratios("b", [(2, 1)]) + collect_ratios(
+            "a", [(3, 1), (1, 1)]
+        )
+        groups = summarize_groups(samples)
+        assert [s.label for s in groups] == ["a", "b"]
+        assert [s.count for s in groups] == [2, 1]
+        assert groups[0].worst == 3.0 and groups[0].best == 1.0
+
+    def test_matches_summarize_per_label(self):
+        samples = collect_ratios("x", [(4, 2), (5, 5)]) + collect_ratios(
+            "y", [(1, 1)]
+        )
+        for group in summarize_groups(samples):
+            same = [s for s in samples if s.label == group.label]
+            assert group == summarize(same)
+
+    def test_empty(self):
+        assert summarize_groups([]) == []
 
 
 class TestReportFormatting:

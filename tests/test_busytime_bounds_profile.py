@@ -1,5 +1,7 @@
 """Tests for lower bounds (Obs. 2–4) and the demand profile (Defs. 11–13)."""
 
+import itertools
+
 import pytest
 
 from repro.busytime import (
@@ -104,6 +106,33 @@ class TestBoundDominance:
 
     def test_empty_instance(self):
         assert best_lower_bound(Instance(tuple()), 3) == 0.0
+
+
+class TestPeakDemand:
+    """``max_raw`` is the largest set of pairwise-overlapping jobs."""
+
+    def test_equals_largest_pairwise_overlapping_set(self, rng):
+        for _ in range(10):
+            inst = random_interval_instance(8, 12.0, rng=rng)
+            jobs = inst.jobs
+            largest = max(
+                r
+                for r in range(1, len(jobs) + 1)
+                for combo in itertools.combinations(jobs, r)
+                if all(
+                    a.release < b.deadline and b.release < a.deadline
+                    for a, b in itertools.combinations(combo, 2)
+                )
+            )
+            assert compute_demand_profile(inst, 1).max_raw == largest
+
+    def test_touching_jobs_do_not_stack(self):
+        inst = Instance.from_intervals([(0, 1), (1, 2), (2, 3)])
+        assert compute_demand_profile(inst, 2).max_raw == 1
+
+    def test_clique_instance_peaks_at_n(self, clique_instance):
+        profile = compute_demand_profile(clique_instance, 2)
+        assert profile.max_raw == clique_instance.n
 
 
 class TestPadding:

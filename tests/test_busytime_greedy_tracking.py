@@ -91,6 +91,13 @@ class TestGreedyTracking:
         one = greedy_tracking(Instance.from_intervals([(0, 2)]), 2)
         assert one.total_busy_time == pytest.approx(2.0)
 
+    def test_g_identical_jobs_fill_one_machine(self):
+        inst = Instance.from_intervals([(0, 2)] * 3)
+        s = greedy_tracking(inst, 3)
+        assert s.num_machines == 1
+        assert s.total_busy_time == pytest.approx(2.0)
+        assert s.bundles[0].mass == pytest.approx(3 * s.total_busy_time)
+
 
 class TestProperWitnessSet:
     def test_span_preserved(self, rng):

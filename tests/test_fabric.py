@@ -86,6 +86,9 @@ class FakeClient:
     def solve_payload(self, payload):
         return self.server.solve_payload(payload)
 
+    def close(self):
+        pass
+
 
 def make_dispatcher(servers, **kwargs):
     """Dispatcher over ``{url: FakeServer}`` with test-friendly timing."""

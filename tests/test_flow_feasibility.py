@@ -118,3 +118,72 @@ class TestValidation:
             oracle.is_feasible([1], jobs=[0, 99])
         assert oracle.max_flow_value([1], jobs=[0]) == 1
         assert oracle.is_feasible(range(1, 7))
+
+
+def _capacity_threshold(inst):
+    """Smallest g for which the instance is feasible with every slot open."""
+    slots = range(1, inst.horizon + 1)
+    return next(
+        g for g in range(1, inst.n + 2) if is_feasible_slot_set(inst, g, slots)
+    )
+
+
+def _window_pressure(inst):
+    """max over slot windows of ceil(mass of jobs confined to it / width)."""
+    best = 1
+    for a in range(inst.horizon):
+        for b in range(a + 1, inst.horizon + 1):
+            mass = sum(
+                j.integral_length()
+                for j in inst.jobs
+                if a <= j.release and j.deadline <= b
+            )
+            best = max(best, -(-mass // (b - a)))
+    return best
+
+
+class TestCapacityThreshold:
+    """The smallest capacity g at which the all-open slot set is feasible."""
+
+    def test_single_rigid_job(self):
+        assert _capacity_threshold(Instance.from_tuples([(0, 2, 2)])) == 1
+
+    def test_stacked_rigid_jobs_need_the_stack_height(self):
+        inst = Instance.from_tuples([(0, 2, 2)] * 5)
+        assert _capacity_threshold(inst) == 5
+        assert not is_feasible_slot_set(inst, 4, [1, 2])
+
+    def test_unit_jobs_sharing_one_slot(self):
+        inst = Instance.from_tuples([(0, 1, 1)] * 3)
+        assert _capacity_threshold(inst) == 3
+
+    def test_disjoint_rigid_jobs_need_one(self):
+        inst = Instance.from_tuples([(0, 2, 2), (3, 5, 2)])
+        assert _capacity_threshold(inst) == 1
+
+    def test_empty_instance_needs_no_slots(self):
+        assert is_feasible_slot_set(Instance(tuple()), 1, [])
+
+    def test_at_least_window_pressure(self, rng):
+        for _ in range(8):
+            inst = random_active_time_instance(6, 8, rng=rng)
+            assert _capacity_threshold(inst) >= _window_pressure(inst)
+
+    def test_overloaded_window_is_infeasible(self, rng):
+        for _ in range(8):
+            inst = random_active_time_instance(7, 8, rng=rng)
+            pressure = _window_pressure(inst)
+            if pressure > 1:
+                slots = range(1, inst.horizon + 1)
+                assert not is_feasible_slot_set(inst, pressure - 1, slots)
+
+    def test_threshold_matches_exact_solver(self, rng):
+        from repro.activetime import exact_active_time
+
+        for _ in range(5):
+            inst = random_active_time_instance(6, 8, rng=rng)
+            g = _capacity_threshold(inst)
+            exact_active_time(inst, g).verify()
+            if g > 1:
+                with pytest.raises(RuntimeError):
+                    exact_active_time(inst, g - 1)

@@ -72,7 +72,23 @@ def server(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(server):
-    return ServeClient(server.url)
+    client = ServeClient(server.url)
+    yield client
+    client.close()
+
+
+@pytest.fixture
+def new_client(server):
+    """Factory for extra clients; closes each one's connection after."""
+    made = []
+
+    def make():
+        made.append(ServeClient(server.url))
+        return made[-1]
+
+    yield make
+    for client in made:
+        client.close()
 
 
 @pytest.fixture
@@ -327,14 +343,19 @@ class TestIncrementalStreaming:
         # long /batch is mid-solve used to queue behind the entire wave.
         slow_inst = Instance.from_tuples([(0, 9, 3), (1, 7, 2)])
         batch_results = []
-        thread = threading.Thread(
-            target=lambda: batch_results.extend(
-                client.batch(
-                    [task_request(slow_inst, "active", 2,
-                                  algorithm=slow_solver)]
+
+        def run_batch():
+            try:
+                batch_results.extend(
+                    client.batch(
+                        [task_request(slow_inst, "active", 2,
+                                      algorithm=slow_solver)]
+                    )
                 )
-            )
-        )
+            finally:
+                client.close()  # this thread's connection
+
+        thread = threading.Thread(target=run_batch)
         thread.start()
         try:
             time.sleep(0.15)  # batch is now mid-solve
@@ -670,8 +691,8 @@ class TestHealthzCapacity:
         assert health["queue_depth"] >= 0
         assert health["streams_in_flight"] >= 0
 
-    def test_capacity_tracks_live_batch(self, server, slow_solver):
-        client = ServeClient(server.url)
+    def test_capacity_tracks_live_batch(self, new_client, slow_solver):
+        client = new_client()
         # Distinct digests: identical requests would dedupe into one
         # solve and the stream could finish before the probe lands.
         requests = [
@@ -685,7 +706,7 @@ class TestHealthzCapacity:
         ]
         stream = client.batch(requests)
         first = next(stream)  # at least one task solving server-side
-        probe = ServeClient(server.url)
+        probe = new_client()
         health = probe.health()
         assert health["streams_in_flight"] >= 1
         assert first.ok
@@ -693,8 +714,8 @@ class TestHealthzCapacity:
 
 
 class TestClientKeepAlive:
-    def test_connection_reused_across_requests(self, server):
-        client = ServeClient(server.url)
+    def test_connection_reused_across_requests(self, new_client):
+        client = new_client()
         client.algos()
         conn = client._local.conn
         assert conn is not None
@@ -702,25 +723,27 @@ class TestClientKeepAlive:
         client.stats()
         assert client._local.conn is conn
 
-    def test_wedged_connection_state_recovers_transparently(self, server):
+    def test_wedged_connection_state_recovers_transparently(
+        self, new_client
+    ):
         # A keep-alive connection stuck mid-exchange (CannotSendRequest)
         # must be replaced and the request resent, not surfaced.
-        client = ServeClient(server.url)
+        client = new_client()
         assert client.health()["ok"] is True
         conn = client._local.conn
         conn._HTTPConnection__state = "Request-sent"
         assert client.health()["ok"] is True
         assert client._local.conn is not conn
 
-    def test_close_is_reusable(self, server):
-        client = ServeClient(server.url)
+    def test_close_is_reusable(self, new_client):
+        client = new_client()
         client.health()
         client.close()
         assert getattr(client._local, "conn", None) is None
         assert client.health()["ok"] is True  # reconnects on demand
 
-    def test_threads_get_independent_connections(self, server):
-        client = ServeClient(server.url)
+    def test_threads_get_independent_connections(self, new_client):
+        client = new_client()
         client.health()
         main_conn = client._local.conn
         seen = []
@@ -728,6 +751,7 @@ class TestClientKeepAlive:
         def probe():
             client.health()
             seen.append(client._local.conn)
+            client.close()
 
         thread = threading.Thread(target=probe)
         thread.start()

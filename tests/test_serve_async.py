@@ -277,15 +277,17 @@ class TestBackpressureCap:
                 assert stalls > base["backpressure_stalls"]
 
                 # -- other connections flow while this one is stalled
-                client = ServeClient(srv.url)
-                inst = _instances(1, seed=900)[0]
-                result = client.solve(inst, "active", 2, algorithm="minimal")
-                assert result.ok
-                side = list(client.batch([
-                    task_request(i2, "active", 2, algorithm="minimal",
-                                 meta={"pos": k})
-                    for k, i2 in enumerate(_instances(3, seed=950))
-                ]))
+                with contextlib.closing(ServeClient(srv.url)) as client:
+                    inst = _instances(1, seed=900)[0]
+                    result = client.solve(
+                        inst, "active", 2, algorithm="minimal"
+                    )
+                    assert result.ok
+                    side = list(client.batch([
+                        task_request(i2, "active", 2, algorithm="minimal",
+                                     meta={"pos": k})
+                        for k, i2 in enumerate(_instances(3, seed=950))
+                    ]))
                 assert [r.meta["pos"] for r in side] == [0, 1, 2]
 
                 # -- resume: the full ordered stream still arrives
@@ -345,10 +347,11 @@ class TestWriteStallTimeout:
             finally:
                 sock.close()
             # server is unharmed
-            client = ServeClient(srv.url)
-            result = client.solve(
-                _instances(1, seed=770)[0], "active", 2, algorithm="minimal"
-            )
+            with contextlib.closing(ServeClient(srv.url)) as client:
+                result = client.solve(
+                    _instances(1, seed=770)[0], "active", 2,
+                    algorithm="minimal",
+                )
             assert result.ok
 
     def test_default_is_generous_not_disabled(self):
@@ -374,20 +377,23 @@ class TestPriorityServe:
                 for i, inst in enumerate(_instances(16, seed=600))
             ]
             batch_results = []
-            thread = threading.Thread(
-                target=lambda: batch_results.extend(
-                    client.batch(batch_requests)
-                ),
-                daemon=True,
-            )
+
+            def run_batch():
+                try:
+                    batch_results.extend(client.batch(batch_requests))
+                finally:
+                    client.close()  # this thread's connection
+
+            thread = threading.Thread(target=run_batch, daemon=True)
             thread.start()
             try:
                 time.sleep(_SLOW_SECONDS * 0.75)  # batch is mid-solve
                 start = time.perf_counter()
-                result = ServeClient(srv.url).solve(
-                    _instances(1, seed=680)[0], "active", 2,
-                    algorithm="minimal",
-                )
+                with contextlib.closing(ServeClient(srv.url)) as other:
+                    result = other.solve(
+                        _instances(1, seed=680)[0], "active", 2,
+                        algorithm="minimal",
+                    )
                 elapsed = time.perf_counter() - start
             finally:
                 thread.join(timeout=60.0)
@@ -548,6 +554,7 @@ class TestKeepAliveSoak:
         with _server(jobs=1) as srv:
             host, port = srv.server_address[:2]
             idle = []
+            client = ServeClient(srv.url)
             try:
                 for _ in range(idle_count):
                     conn = http.client.HTTPConnection(host, port, timeout=30)
@@ -559,7 +566,6 @@ class TestKeepAliveSoak:
                 health = _get_json(srv, "/healthz")[1]
                 assert health["connections"] >= idle_count
 
-                client = ServeClient(srv.url)
                 for round_no in range(3):
                     result = client.solve(
                         _instances(1, seed=800 + round_no)[0],
@@ -582,6 +588,7 @@ class TestKeepAliveSoak:
                     assert response.status == 200
                     response.read()
             finally:
+                client.close()
                 for conn in idle:
                     conn.close()
             assert _wait_until(

@@ -60,7 +60,9 @@ def server():
 
 @pytest.fixture(scope="module")
 def client(server):
-    return ServeClient(server.url)
+    client = ServeClient(server.url)
+    yield client
+    client.close()
 
 
 @pytest.fixture
@@ -192,8 +194,11 @@ class TestMetricsDuringLiveBatch:
         lines = []
 
         def consume():
-            for result in client.batch(requests):
-                lines.append(result)
+            try:
+                for result in client.batch(requests):
+                    lines.append(result)
+            finally:
+                client.close()  # this thread's connection
 
         consumer = threading.Thread(target=consume)
         consumer.start()
