@@ -121,8 +121,13 @@ def check_metrics_scrape(client: ServeClient) -> None:
     arrivals: list[object] = []
 
     def consume() -> None:
-        for result in client.batch(requests):
-            arrivals.append(result)
+        # The client keeps one keep-alive connection per thread; this
+        # thread's must be closed here, by the thread that opened it.
+        try:
+            for result in client.batch(requests):
+                arrivals.append(result)
+        finally:
+            client.close()
 
     consumer = threading.Thread(target=consume)
     consumer.start()
@@ -189,9 +194,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         proc, url = start_server(cache_dir)
+        client = ServeClient(url, http_timeout=120.0)
         try:
-            client = ServeClient(url, http_timeout=120.0)
-
             algos = client.algos()
             assert "minimal" in algos["problems"]["active"], algos["problems"]
             print(f"server at {url}: "
@@ -220,8 +224,10 @@ def main() -> None:
             check_incremental_streaming(client)
             check_metrics_scrape(client)
         finally:
+            client.close()
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 if __name__ == "__main__":

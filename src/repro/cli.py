@@ -70,6 +70,7 @@ from .engine import (
     run_sweep,
     write_results,
 )
+from .engine.registry import DEFAULT_ALGORITHM
 from .obs import EventLog, trace_spans
 from .instances import (
     PROBLEM_GENERATORS,
@@ -116,7 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_active.add_argument("path", help="instance file (.json or .csv)")
     p_active.add_argument("--g", type=int, required=True, help="slot capacity")
     p_active.add_argument(
-        "--algorithm", choices=REGISTRY.names("active"), default="rounding"
+        "--algorithm",
+        choices=REGISTRY.names("active"),
+        default=DEFAULT_ALGORITHM["active"],
     )
     p_active.add_argument("--backend", default=None, help=backend_help)
 
@@ -126,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_busy.add_argument(
         "--algorithm",
         choices=REGISTRY.names("busy"),
-        default="greedy_tracking",
+        default=DEFAULT_ALGORITHM["busy"],
     )
     p_busy.add_argument("--backend", default=None, help=backend_help)
 
@@ -224,8 +227,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--problem", choices=("active", "busy"), default="active"
     )
     p_batch.add_argument("--g", type=int, required=True)
-    p_batch.add_argument("--algorithm", default=None,
-                         help="solver name (default: rounding / greedy_tracking)")
+    p_batch.add_argument(
+        "--algorithm",
+        default=None,
+        help="solver name (default: {active} / {busy})".format(
+            **DEFAULT_ALGORITHM
+        ),
+    )
     p_batch.add_argument("--backend", default=None, help=backend_help)
     p_batch.add_argument("--jobs", type=int, default=1)
     p_batch.add_argument(
@@ -690,9 +698,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    algorithm = args.algorithm or (
-        "rounding" if args.problem == "active" else "greedy_tracking"
-    )
+    algorithm = args.algorithm or DEFAULT_ALGORITHM[args.problem]
     REGISTRY.get(args.problem, algorithm)  # fail fast on unknown names
     params = backend_task_params(args.problem, algorithm, args.backend)
     tasks = []

@@ -5,14 +5,10 @@ instance (job tuples in order), the problem/algorithm pair, ``g`` and
 any extra parameters.  Two layers:
 
 * an in-memory LRU (``OrderedDict``) bounded by ``maxsize``;
-* an optional on-disk JSON store (one file per digest) so repeated
-  sweeps across process runs are near-free — bounded by an optional
-  byte budget with oldest-mtime eviction (``repro cache --prune``
-  applies the same policy from the CLI).  Records above
-  ``compress_threshold`` bytes are stored gzip-compressed
-  (``<digest>.json.gz``); reads handle both formats transparently and
-  the byte budget counts on-disk (compressed) size, so large sweep
-  records stop dominating the disk budget.
+* an optional on-disk JSON store (one ``<digest>.json`` file per
+  digest) so repeated sweeps across process runs are near-free —
+  bounded by an optional byte budget with oldest-mtime eviction
+  (``repro cache --prune`` applies the same policy from the CLI).
 
 Only JSON-serializable result records go through the cache — schedules
 stay in-process.  Records are deep-copied at the ``get``/``put``
@@ -24,7 +20,6 @@ lock so concurrent serving threads share one cache safely.
 from __future__ import annotations
 
 import copy
-import gzip
 import hashlib
 import json
 import os
@@ -56,10 +51,6 @@ _EVICTIONS = OBS.counter(
     "repro_cache_evictions_total",
     "Result-cache entries evicted, by layer",
     ("layer",),
-)
-_COMPRESSED = OBS.counter(
-    "repro_cache_compressed_total",
-    "Result-cache records written gzip-compressed to disk",
 )
 
 
@@ -129,13 +120,6 @@ class ResultCache:
         Optional byte budget for the disk layer.  After every disk
         write, oldest-mtime entries are evicted until the store fits;
         ``None`` leaves the disk layer unbounded (the seed behavior).
-    compress_threshold:
-        Records whose JSON text exceeds this many bytes are written
-        gzip-compressed as ``<digest>.json.gz`` (large sweep records
-        compress severalfold); smaller records stay plain JSON for
-        zero-dependency inspection.  ``None`` disables compression.
-        Reads are format-transparent either way, so changing the
-        threshold never invalidates an existing store.
     """
 
     def __init__(
@@ -144,7 +128,6 @@ class ResultCache:
         directory: str | Path | None = None,
         *,
         disk_budget: int | None = None,
-        compress_threshold: int | None = 4096,
     ) -> None:
         if maxsize <= 0:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
@@ -152,15 +135,9 @@ class ResultCache:
             raise ValueError(
                 f"disk_budget must be non-negative, got {disk_budget}"
             )
-        if compress_threshold is not None and compress_threshold < 0:
-            raise ValueError(
-                "compress_threshold must be non-negative, got "
-                f"{compress_threshold}"
-            )
         self.maxsize = maxsize
         self.directory = Path(directory) if directory is not None else None
         self.disk_budget = disk_budget
-        self.compress_threshold = compress_threshold
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
@@ -171,8 +148,6 @@ class ResultCache:
         self.evictions = 0
         #: Memory-LRU entries pushed out by ``maxsize``.
         self.evictions_memory = 0
-        #: Records written gzip-compressed (over ``compress_threshold``).
-        self.compressed_records = 0
         # Running estimate of disk bytes, so `put` only pays a full
         # directory scan when the budget is actually threatened (the
         # estimate over-counts same-key overwrites, which merely makes
@@ -185,28 +160,6 @@ class ResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._memory)
-
-    def _disk_paths(self, key: str) -> tuple[Path, Path]:
-        """``(plain, gzip)`` candidate paths for one digest.
-
-        A digest lives in at most one of the two (``put`` removes the
-        stale twin on a format change); readers try both.
-        """
-        return (
-            self.directory / f"{key}.json",
-            self.directory / f"{key}.json.gz",
-        )
-
-    @staticmethod
-    def _read_record(path: Path) -> dict[str, Any] | None:
-        """Parse one disk entry, plain or gzipped; ``None`` on any error."""
-        try:
-            raw = path.read_bytes()
-            if path.name.endswith(".json.gz"):
-                raw = gzip.decompress(raw)
-            return json.loads(raw)
-        except (OSError, EOFError, gzip.BadGzipFile, json.JSONDecodeError):
-            return None
 
     def get(self, key: str) -> dict[str, Any] | None:
         """Return the cached record for ``key`` or ``None`` on a miss.
@@ -223,14 +176,12 @@ class ResultCache:
                 _HITS.labels(layer="memory").inc()
                 return copy.deepcopy(record)
         if self.directory is not None:
-            record = path = None
-            for candidate in self._disk_paths(key):
-                if candidate.exists():
-                    record = self._read_record(candidate)
-                    if record is not None:
-                        path = candidate
-                        break
-            if record is not None:
+            path = self.directory / f"{key}.json"
+            try:
+                record = json.loads(path.read_bytes())
+            except (OSError, ValueError):  # ValueError: bad JSON or UTF-8
+                record = None
+            if isinstance(record, dict):  # else absent or unreadable: a miss
                 # Refresh the entry's mtime: prune() evicts oldest-mtime
                 # first, so without the touch the most frequently *read*
                 # entries would be the first to go under a byte budget.
@@ -259,18 +210,8 @@ class ResultCache:
         with self._lock:
             self._store_memory(key, record)
         if self.directory is not None:
-            plain, packed = self._disk_paths(key)
+            path = self.directory / f"{key}.json"
             payload = json.dumps(record, sort_keys=True).encode("utf-8")
-            compress = (
-                self.compress_threshold is not None
-                and len(payload) > self.compress_threshold
-            )
-            if compress:
-                payload = gzip.compress(payload)
-                with self._lock:
-                    self.compressed_records += 1
-                _COMPRESSED.inc()
-            path, stale = (packed, plain) if compress else (plain, packed)
             # Unique tmp name: concurrent runs sharing a cache directory
             # may put the same digest; a fixed tmp name would race.
             tmp = path.parent / (
@@ -278,13 +219,6 @@ class ResultCache:
             )
             tmp.write_bytes(payload)
             tmp.replace(path)
-            # A re-put may cross the threshold in either direction; the
-            # other format's file would otherwise linger as a stale
-            # duplicate charged against the budget.
-            try:
-                stale.unlink()
-            except OSError:
-                pass
             if self.disk_budget is not None:
                 with self._lock:
                     self._disk_estimate += len(payload)
@@ -314,9 +248,7 @@ class ResultCache:
         if self.directory is None:
             return []
         entries: list[tuple[Path, int, float]] = []
-        candidates = list(self.directory.glob("*.json"))
-        candidates.extend(self.directory.glob("*.json.gz"))
-        for path in candidates:
+        for path in self.directory.glob("*.json"):
             try:
                 stat = path.stat()
             except OSError:
@@ -386,7 +318,6 @@ class ResultCache:
                 "evictions": self.evictions,
                 "evictions_disk": self.evictions,
                 "evictions_memory": self.evictions_memory,
-                "compressed_records": self.compressed_records,
             }
 
     def clear(self) -> None:

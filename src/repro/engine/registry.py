@@ -33,6 +33,10 @@ __all__ = [
 #: Problem families the registry knows about.
 PROBLEMS = ("active", "busy")
 
+#: The algorithm each problem runs when a caller names none: the
+#: ``repro active``/``busy``/``batch`` commands and ``repro serve``.
+DEFAULT_ALGORITHM = {"active": "rounding", "busy": "greedy_tracking"}
+
 
 @dataclass(frozen=True)
 class SolveOutcome:

@@ -77,7 +77,7 @@ from typing import Any, Deque, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from ..engine import BatchRunner, ResultCache, backend_task_params, make_task
-from ..engine.registry import PROBLEMS, REGISTRY
+from ..engine.registry import DEFAULT_ALGORITHM, PROBLEMS, REGISTRY
 from ..engine.runner import PRIORITY_URGENT
 from ..engine.workers import Task, TaskResult
 from ..io import instance_from_payload
@@ -102,9 +102,6 @@ _TASK_FIELDS = frozenset(
     {"instance", "problem", "algorithm", "g", "params", "backend",
      "timeout", "meta"}
 )
-
-#: Per-problem algorithm used when a request names none (CLI parity).
-_DEFAULT_ALGORITHM = {"active": "rounding", "busy": "greedy_tracking"}
 
 #: Refuse request bodies beyond this size (64 MiB) instead of buffering.
 _MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -201,7 +198,7 @@ def parse_task_request(
         raise RequestError(
             f"{at}unknown problem {problem!r}; choose from {list(PROBLEMS)}"
         )
-    algorithm = payload.get("algorithm") or _DEFAULT_ALGORITHM[problem]
+    algorithm = payload.get("algorithm") or DEFAULT_ALGORITHM[problem]
     try:
         REGISTRY.get(problem, algorithm)
     except KeyError as exc:
@@ -454,7 +451,7 @@ class ServeApp:
             ],
             "backends": [backend_status(name) for name in backend_names()],
             "defaults": {
-                "algorithm": dict(_DEFAULT_ALGORITHM),
+                "algorithm": dict(DEFAULT_ALGORITHM),
                 "backend": self.default_backend,
                 "timeout": self.default_timeout,
                 "jobs": self.runner.jobs,

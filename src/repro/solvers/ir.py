@@ -1,7 +1,7 @@
 """The backend-neutral LP/MILP intermediate representation.
 
 Every optimization problem in the repository — the Section-3 ``LP1``
-relaxation, the exact MILPs, the busy-time maximization program — is
+relaxation, the exact active-time, busy-time and OPT_∞ MILPs — is
 expressed as one :class:`LinearProgram`:
 
     min  c @ x

@@ -5,12 +5,17 @@ import pytest
 from repro.activetime import exact_active_time, round_active_time
 from repro.core import Instance
 from repro.instances import (
+    SWEEP_GENERATORS,
     figure3,
     lp_gap,
     random_active_time_instance,
     tight_window_instance,
 )
 from repro.lp import solve_active_time_lp
+
+#: Seeds of ``SWEEP_GENERATORS["active"](300, 120, 12, seed)`` on which
+#: rounding at g=12 needs repair (7 and 8 slots) and breaks Lemma 5.
+LEMMA5_SEEDS = (3656233805, 744399)
 
 
 class TestBasics:
@@ -92,6 +97,27 @@ class TestGuarantee:
             sol = round_active_time(gad.instance, g, strict=True)
             sol.schedule.verify()
             assert sol.cost <= 2 * gad.facts["opt_active_time"]
+
+
+class TestLemma5KnownViolations:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Lemma 5 breaks: a proxy entering a block whose own LP "
+        "remainder is 0 takes the closed slot b - whole, which holds no LP "
+        "mass, so its pointer leaves the slot that holds it",
+    )
+    @pytest.mark.parametrize("seed", LEMMA5_SEEDS)
+    def test_no_repair_and_no_charging_failure(self, seed):
+        inst = SWEEP_GENERATORS["active"](300, 120, 12, seed)
+        sol = round_active_time(inst, 12)
+        assert sol.repair_slots == []
+        assert sol.charging_failures == []
+
+    @pytest.mark.parametrize("seed", LEMMA5_SEEDS)
+    def test_theorem2_bound_still_holds(self, seed):
+        inst = SWEEP_GENERATORS["active"](300, 120, 12, seed)
+        sol = round_active_time(inst, 12)
+        assert sol.cost <= 2 * sol.lp_objective
 
 
 class TestTrace:

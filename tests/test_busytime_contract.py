@@ -1,8 +1,8 @@
 """The contract every interval busy-time algorithm keeps.
 
-Each check runs against every offline algorithm of
-:data:`repro.busytime.INTERVAL_ALGORITHMS` and both online policies, so a
-new algorithm, or a regression in one, is caught on the same footing:
+Each check runs against every algorithm of
+:data:`repro.busytime.INTERVAL_ALGORITHMS`, so a new algorithm, or a
+regression in one, is caught on the same footing:
 the optimum and the demand profile bound every schedule from below,
 capacity one forces tracks, jobs that never overlap cost exactly their
 length however they are bundled, and an exact shift or doubling of every
@@ -18,17 +18,9 @@ from repro.busytime import (
     compute_demand_profile,
     exact_busy_time_interval,
     is_track,
-    online_best_fit,
-    online_first_fit,
 )
 from repro.core import Instance, Job
 from repro.instances import figure8, random_interval_instance
-
-ALGORITHMS = {
-    **INTERVAL_ALGORITHMS,
-    "online_first_fit": online_first_fit,
-    "online_best_fit": online_best_fit,
-}
 
 
 def _moved(inst, scale=1, shift=0):
@@ -51,9 +43,9 @@ def _moved(inst, scale=1, shift=0):
     )
 
 
-@pytest.fixture(params=sorted(ALGORITHMS))
+@pytest.fixture(params=sorted(INTERVAL_ALGORITHMS))
 def algorithm(request):
-    return ALGORITHMS[request.param]
+    return INTERVAL_ALGORITHMS[request.param]
 
 
 def test_empty_instance(algorithm):

@@ -56,7 +56,6 @@ class TestMemoryLayer:
         assert cache.stats == {
             "hits": 1, "misses": 1, "size": 1, "evictions": 0,
             "evictions_disk": 0, "evictions_memory": 0,
-            "compressed_records": 0,
         }
 
     def test_lru_eviction(self):
@@ -124,6 +123,14 @@ class TestDiskLayer:
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
+        cache = ResultCache(directory=tmp_path)
+        assert cache.get("bad") is None
+
+    @pytest.mark.parametrize(
+        "content", [b"\x80\x81", b"[1, 2]"], ids=["not-utf8", "not-an-object"]
+    )
+    def test_undecodable_file_is_a_miss(self, tmp_path, content):
+        (tmp_path / "bad.json").write_bytes(content)
         cache = ResultCache(directory=tmp_path)
         assert cache.get("bad") is None
 
@@ -253,88 +260,9 @@ class TestDiskEviction:
         assert cache.get("k") == {"v": 1}  # memory layer still serves it
 
 
-class TestGzipCompression:
-    def _big_record(self):
-        return {"metrics": {f"m{i}": float(i) for i in range(400)}}
-
-    def test_large_record_lands_compressed(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, compress_threshold=256)
-        cache.put("big", self._big_record())
-        assert (tmp_path / "big.json.gz").exists()
-        assert not (tmp_path / "big.json").exists()
-
-    def test_small_record_stays_plain(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, compress_threshold=256)
-        cache.put("small", {"v": 1})
-        assert (tmp_path / "small.json").exists()
-        assert not (tmp_path / "small.json.gz").exists()
-
-    def test_compressed_record_reads_back(self, tmp_path):
-        record = self._big_record()
-        ResultCache(directory=tmp_path, compress_threshold=0).put(
-            "k", record
-        )
-        # fresh instance: empty memory layer forces a *disk* read
-        assert ResultCache(directory=tmp_path).get("k") == record
-
-    def test_threshold_none_disables_compression(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, compress_threshold=None)
-        cache.put("big", self._big_record())
-        assert (tmp_path / "big.json").exists()
-        assert not (tmp_path / "big.json.gz").exists()
-
-    def test_budget_counts_compressed_size(self, tmp_path):
-        record = self._big_record()
-        import gzip as _gzip
-        import json as _json
-
-        text = _json.dumps(record, sort_keys=True).encode()
-        packed = len(_gzip.compress(text))
-        assert packed < len(text)  # the record actually compresses
-        # budget admits the compressed record but not the plain one
-        cache = ResultCache(
-            directory=tmp_path,
-            disk_budget=(packed + len(text)) // 2,
-            compress_threshold=0,
-        )
-        cache.put("k", record)
-        num, size = cache.disk_usage()
-        assert (num, size) == (1, packed)
-        assert cache.evictions == 0  # fits the budget only because gzip'd
-
-    def test_reput_across_threshold_removes_stale_twin(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, compress_threshold=256)
-        cache.put("k", self._big_record())
-        assert (tmp_path / "k.json.gz").exists()
-        cache.put("k", {"v": 1})  # shrinks below the threshold
-        assert (tmp_path / "k.json").exists()
-        assert not (tmp_path / "k.json.gz").exists()
-        assert len(cache.disk_entries()) == 1
-
-    def test_prune_evicts_compressed_entries_too(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, compress_threshold=0)
-        for i in range(4):
-            cache.put(f"k{i}", self._big_record())
-        assert all(p.name.endswith(".json.gz")
-                   for p, _, _ in cache.disk_entries())
-        summary = cache.prune(0)
-        assert summary["removed"] == 4 and summary["kept"] == 0
-        assert cache.disk_usage() == (0, 0)
-
-    def test_corrupt_gzip_is_a_miss(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, compress_threshold=0)
-        cache.put("k", self._big_record())
-        (tmp_path / "k.json.gz").write_bytes(b"not gzip at all")
-        assert ResultCache(directory=tmp_path).get("k") is None
-
-    def test_rejects_negative_threshold(self, tmp_path):
-        with pytest.raises(ValueError, match="compress_threshold"):
-            ResultCache(directory=tmp_path, compress_threshold=-1)
-
-
 class TestEvictionCounters:
-    """Satellite: `stats` distinguishes memory/disk evictions and
-    compressed writes, under forced pressure."""
+    """Satellite: `stats` distinguishes memory/disk evictions under
+    forced pressure."""
 
     def test_memory_eviction_counter(self):
         cache = ResultCache(maxsize=2)
@@ -354,17 +282,6 @@ class TestEvictionCounters:
         assert stats["evictions_disk"] == cache.evictions
         # legacy alias keeps old readers working
         assert stats["evictions"] == stats["evictions_disk"]
-
-    def test_compressed_records_counter(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, compress_threshold=128)
-        cache.put("small", {"objective": 1.0})
-        cache.put("large", {"objective": 2.0, "pad": "x" * 1024})
-        stats = cache.stats
-        assert stats["compressed_records"] == 1
-        assert (tmp_path / "large.json.gz").exists()
-        assert (tmp_path / "small.json").exists()
-        # compressed entries read back identically
-        assert cache.get("large")["pad"] == "x" * 1024
 
     def test_counters_survive_clear(self, tmp_path):
         cache = ResultCache(directory=tmp_path, maxsize=1)

@@ -3,14 +3,20 @@
 import pytest
 
 from repro.busytime import INTERVAL_ALGORITHMS
+from repro.cli import _build_parser, main
 from repro.engine import (
     REGISTRY,
     SolveOutcome,
     SolverRegistry,
     SolverSpec,
     get_solver,
+    read_results,
     solve,
 )
+from repro.engine.registry import DEFAULT_ALGORITHM, PROBLEMS
+from repro.io import save_instance
+from repro.serve import task_request
+from repro.serve.server import ServeApp, parse_task_request
 
 
 class TestCompleteness:
@@ -33,6 +39,42 @@ class TestCompleteness:
         assert REGISTRY.get("busy", "exact").exact
         assert not REGISTRY.get("active", "rounding").exact
         assert not REGISTRY.get("busy", "greedy_tracking").exact
+
+
+class TestDefaultAlgorithm:
+    """Every caller that names no algorithm gets the registry's default."""
+
+    def test_table_is_unchanged(self):
+        assert DEFAULT_ALGORITHM == {
+            "active": "rounding",
+            "busy": "greedy_tracking",
+        }
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_every_entry_point_reads_the_table(
+        self, problem, tiny_instance, tmp_path, monkeypatch
+    ):
+        expected = DEFAULT_ALGORITHM[problem]
+        REGISTRY.get(problem, expected)  # raises unless registered
+
+        args = _build_parser().parse_args([problem, "x.json", "--g", "2"])
+        assert args.algorithm == expected
+
+        monkeypatch.chdir(tmp_path)
+        save_instance(tiny_instance, "inst.json")
+        assert main(["batch", "inst.json", "--problem", problem, "--g", "2",
+                     "--no-cache", "--out", "out.jsonl"]) == 0
+        assert [r.algorithm for r in read_results("out.jsonl")] == [expected]
+
+        task = parse_task_request(task_request(tiny_instance, problem, 2))
+        assert task.algorithm == expected
+
+        app = ServeApp()
+        try:
+            defaults = app.algos_payload()["defaults"]["algorithm"]
+        finally:
+            app.close()
+        assert defaults[problem] == expected
 
 
 class TestDispatch:

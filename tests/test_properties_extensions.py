@@ -1,4 +1,4 @@
-"""Property-based tests for the extension modules (widths, online, io, span)."""
+"""Property-based tests for the io round trips and the two exact OPT_∞ solvers."""
 
 from __future__ import annotations
 
@@ -21,78 +21,6 @@ def integral_flexible(draw, max_n=7, max_t=11):
         r = draw(st.integers(0, max(0, max_t - p - slack)))
         jobs.append(Job(r, r + p + slack, p, id=i))
     return Instance(tuple(jobs))
-
-
-@st.composite
-def interval_with_widths(draw, g=4, max_n=10):
-    n = draw(st.integers(1, max_n))
-    out = []
-    for i in range(n):
-        a = draw(st.floats(0, 12, allow_nan=False))
-        ln = draw(st.floats(0.25, 4, allow_nan=False))
-        w = draw(st.floats(0.25, g, allow_nan=False))
-        job = Job(round(a, 3), round(a, 3) + round(ln, 3), round(ln, 3), id=i)
-        out.append((job, round(w, 3)))
-    return out
-
-
-class TestWidthProperties:
-    @given(interval_with_widths())
-    @settings(max_examples=60, **COMMON)
-    def test_narrow_wide_feasible_and_bounded(self, pairs):
-        from repro.busytime import (
-            WidthInstance,
-            WidthJob,
-            khandekar_narrow_wide,
-            width_mass_lower_bound,
-            width_profile_lower_bound,
-        )
-
-        g = 4
-        wi = WidthInstance(tuple(WidthJob(j, w) for j, w in pairs))
-        s = khandekar_narrow_wide(wi, g)
-        s.verify()
-        lb = max(
-            width_mass_lower_bound(wi, g), width_profile_lower_bound(wi, g)
-        )
-        assert s.total_busy_time <= 5 * lb + 1e-6
-
-    @given(interval_with_widths())
-    @settings(max_examples=60, **COMMON)
-    def test_width_profile_dominates_mass(self, pairs):
-        from repro.busytime import (
-            WidthInstance,
-            WidthJob,
-            width_mass_lower_bound,
-            width_profile_lower_bound,
-        )
-
-        g = 4
-        wi = WidthInstance(tuple(WidthJob(j, w) for j, w in pairs))
-        assert width_profile_lower_bound(wi, g) >= width_mass_lower_bound(
-            wi, g
-        ) - 1e-6
-
-
-class TestOnlineProperties:
-    @given(integral_flexible())
-    @settings(max_examples=40, **COMMON)
-    def test_policies_feasible_on_pinned_instances(self, inst):
-        from repro.busytime import online_best_fit, online_first_fit, pin_instance
-
-        pinned = pin_instance(inst, {j.id: j.release for j in inst.jobs})
-        for policy in (online_first_fit, online_best_fit):
-            s = policy(pinned, 2)
-            s.verify()
-
-    @given(integral_flexible())
-    @settings(max_examples=40, **COMMON)
-    def test_best_fit_no_more_machines_than_jobs(self, inst):
-        from repro.busytime import online_best_fit, pin_instance
-
-        pinned = pin_instance(inst, {j.id: j.release for j in inst.jobs})
-        s = online_best_fit(pinned, 2)
-        assert s.num_machines <= pinned.n
 
 
 class TestIoProperties:
@@ -131,30 +59,3 @@ class TestSpanSearchProperties:
         exact, _ = span_search_exact(inst)
         assert exact <= upper + 1e-9
 
-
-class TestSpecialCaseProperties:
-    @given(st.integers(2, 7), st.integers(1, 4), st.randoms())
-    @settings(max_examples=30, **COMMON)
-    def test_proper_clique_dp_at_most_greedy(self, n, g, pyrandom):
-        from repro.busytime import clique_greedy, proper_clique_exact
-
-        # strictly increasing endpoints on both sides keep the instance
-        # proper even when the random source repeats values; the offset must
-        # be applied after sorting or distinct draws can collide (0.0+1e-3
-        # vs 0.001+0) and produce a strictly-contained window
-        lefts = [v + i * 1e-3
-                 for i, v in enumerate(sorted(pyrandom.uniform(0, 4)
-                                              for _ in range(n)))]
-        rights = [v + i * 1e-3
-                  for i, v in enumerate(sorted(pyrandom.uniform(5, 9)
-                                               for _ in range(n)))]
-        inst = Instance(
-            tuple(
-                Job(a, b, b - a, id=i)
-                for i, (a, b) in enumerate(zip(lefts, rights))
-            )
-        )
-        dp = proper_clique_exact(inst, g)
-        dp.verify()
-        greedy = clique_greedy(inst, g)
-        assert dp.total_busy_time <= greedy.total_busy_time + 1e-9
