@@ -83,6 +83,21 @@ class TestStructure:
                 ]
                 assert len(fractional) <= 1
 
+    def test_fully_open_slots_are_each_blocks_top_slots(self, rng):
+        """Right packing: block ``i`` opens its top ``floor(Y_i)`` slots."""
+        for _ in range(10):
+            inst = random_active_time_instance(6, 9, rng=rng)
+            try:
+                shifted = self._shift(inst, int(rng.integers(1, 4)))
+            except RuntimeError:
+                continue
+            expected = {
+                b - k
+                for (a, b), mass in zip(shifted.blocks, shifted.masses)
+                for k in range(int(snap(mass)))
+            }
+            assert shifted.fully_open_slots() == sorted(expected)
+
     def test_fractional_slot_of_block(self):
         gad = lp_gap(3)
         shifted = self._shift(gad.instance, 3)

@@ -1,26 +1,64 @@
 """The contract every interval busy-time algorithm keeps.
 
 Each check runs against every algorithm of
-:data:`repro.busytime.INTERVAL_ALGORITHMS`, so a new algorithm, or a
-regression in one, is caught on the same footing:
-the optimum and the demand profile bound every schedule from below,
+:data:`repro.busytime.INTERVAL_ALGORITHMS` and FIRSTFIT's two other
+orders, so a new algorithm, or a regression in one, is caught on the same
+footing: the optimum and the demand profile bound every schedule from
+below, on random instances and on the structured families of footnote 1,
 capacity one forces tracks, jobs that never overlap cost exactly their
 length however they are bundled, and an exact shift or doubling of every
-time value leaves the bundles unchanged.
+time value leaves the bundles unchanged.  Each registered packer also
+stays within its proven ratio of the optimum.
 """
 
 import math
+from dataclasses import replace
+from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.busytime import (
     INTERVAL_ALGORITHMS,
     compute_demand_profile,
     exact_busy_time_interval,
+    first_fit,
     is_track,
 )
 from repro.core import Instance, Job
-from repro.instances import figure8, random_interval_instance
+from repro.instances import (
+    figure8,
+    random_clique_instance,
+    random_interval_instance,
+    random_laminar_instance,
+    random_proper_instance,
+)
+
+#: The registered packers, plus FIRSTFIT greedy by release time and in
+#: input order (its ``order`` option; ``"length"`` is the registered one).
+ALGORITHMS = {
+    **INTERVAL_ALGORITHMS,
+    "first_fit_release": partial(first_fit, order="release"),
+    "first_fit_input": partial(first_fit, order="input"),
+}
+
+#: Each registered packer's proven worst case on interval jobs, as a
+#: multiple of the optimum.
+GUARANTEES = {
+    "greedy_tracking": 3,  # Theorem 5
+    "first_fit": 4,  # Flammini et al.
+    "chain_peeling": 2,  # Theorem 3: at most twice the demand profile
+    "kumar_rudra": 2,  # Appendix A.1, certified against 2 * profile
+}
+
+#: The structured interval families of footnote 1: no window strictly
+#: inside another, every window through one point, and every two windows
+#: nested or disjoint.
+FAMILIES = {
+    "proper": lambda rng: random_proper_instance(8, 15.0, rng=rng),
+    "clique": lambda rng: random_clique_instance(8, 15.0, rng=rng),
+    "laminar": lambda rng: random_laminar_instance(2, 2, rng=rng),
+}
 
 
 def _moved(inst, scale=1, shift=0):
@@ -43,9 +81,26 @@ def _moved(inst, scale=1, shift=0):
     )
 
 
-@pytest.fixture(params=sorted(INTERVAL_ALGORITHMS))
+@pytest.fixture(params=sorted(ALGORITHMS))
 def algorithm(request):
-    return INTERVAL_ALGORITHMS[request.param]
+    return ALGORITHMS[request.param]
+
+
+@pytest.fixture(scope="module", params=sorted(FAMILIES))
+def family_cases(request):
+    """Three instances of one family, each with a capacity and its optimum.
+
+    Module-scoped, so every algorithm is measured against the same exact
+    optima and each MILP is solved once.
+    """
+    rng = np.random.default_rng(20140623)
+    cases = []
+    for _ in range(3):
+        inst = FAMILIES[request.param](rng)
+        g = int(rng.integers(1, 4))
+        opt = exact_busy_time_interval(inst, g).total_busy_time
+        cases.append((inst, g, opt))
+    return cases
 
 
 def test_empty_instance(algorithm):
@@ -53,6 +108,29 @@ def test_empty_instance(algorithm):
     s.verify()
     assert s.num_machines == 0
     assert s.total_busy_time == 0.0
+
+
+def test_single_job_costs_its_length(algorithm):
+    inst = Instance.from_intervals([(2.0, 5.5)])
+    for g in (1, 2, 3):
+        s = algorithm(inst, g)
+        s.verify()
+        assert s.num_machines == 1
+        assert s.total_busy_time == pytest.approx(3.5)
+
+
+def test_job_ids_need_not_be_positions(algorithm, rng):
+    """Ids are labels, not indices: sparse, shuffled ids are all placed."""
+    inst = random_interval_instance(10, 16.0, rng=rng)
+    ids = [int(k) for k in rng.choice(1000, size=inst.n, replace=False)]
+    relabelled = Instance.from_jobs(
+        [replace(j, id=k) for j, k in zip(inst.jobs, ids)]
+    )
+    s = algorithm(relabelled, 2)
+    s.verify()
+    assert sorted(s.starts) == sorted(ids)
+    for k in ids:
+        assert k in s.bundles[s.machine_of(k)].job_ids()
 
 
 def test_never_below_exact_optimum(algorithm, rng):
@@ -63,6 +141,24 @@ def test_never_below_exact_optimum(algorithm, rng):
         s = algorithm(inst, g)
         s.verify()
         assert s.total_busy_time >= opt - 1e-6
+
+
+def test_never_below_optimum_on_structured_families(algorithm, family_cases):
+    for inst, g, opt in family_cases:
+        s = algorithm(inst, g)
+        s.verify()
+        assert s.total_busy_time >= opt - 1e-6
+
+
+def test_every_registered_packer_declares_its_guarantee():
+    assert set(GUARANTEES) == set(INTERVAL_ALGORITHMS)
+
+
+@pytest.mark.parametrize("name", sorted(GUARANTEES))
+def test_within_proven_ratio_on_structured_families(name, family_cases):
+    for inst, g, opt in family_cases:
+        cost = ALGORITHMS[name](inst, g).total_busy_time
+        assert cost <= GUARANTEES[name] * opt + 1e-6
 
 
 def test_shifting_time_keeps_the_bundles(algorithm, rng):

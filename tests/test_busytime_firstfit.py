@@ -9,7 +9,11 @@ from repro.busytime import (
     fits_in_bundle,
 )
 from repro.core import Instance, Job
-from repro.instances import random_interval_instance, random_proper_instance
+from repro.instances import (
+    random_clique_instance,
+    random_interval_instance,
+    random_proper_instance,
+)
 
 
 class TestFitsInBundle:
@@ -76,12 +80,30 @@ class TestFirstFit:
         """Footnote 1: greedy by release is 2-approximate on proper instances."""
         for _ in range(10):
             inst = random_proper_instance(8, 15.0, rng=rng)
-            if not inst.is_proper():
-                continue
+            assert inst.is_proper()
             g = int(rng.integers(1, 4))
+            opt = exact_busy_time_interval(inst, g).total_busy_time
             s = first_fit(inst, g, order="release")
-            assert s.total_busy_time <= 2 * best_lower_bound(inst, g) * 2 + 1e-6
-            # (profile lower-bounds OPT; release-greedy <= 2 OPT <= 2 * ratio)
+            s.verify()
+            assert s.total_busy_time <= 2 * opt + 1e-6
+
+    @pytest.mark.parametrize("order", ["length", "release", "input"])
+    def test_clique_fills_each_bundle_to_g(self, order, rng):
+        """All windows share a point, so a bundle holds at most ``g`` jobs.
+
+        FIRSTFIT fills each bundle before it opens the next, whatever the
+        order, so it opens ``ceil(n / g)`` bundles: the fewest possible.
+        """
+        for _ in range(5):
+            n = int(rng.integers(1, 12))
+            g = int(rng.integers(1, 5))
+            inst = random_clique_instance(n, 20.0, rng=rng)
+            s = first_fit(inst, g, order=order)
+            s.verify()
+            full, rest = divmod(n, g)
+            assert [len(b) for b in s.bundles] == [g] * full + [rest] * (
+                rest > 0
+            )
 
     def test_deterministic(self, interval_instance):
         a = first_fit(interval_instance, 2)

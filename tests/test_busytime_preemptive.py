@@ -123,6 +123,22 @@ class TestPreemptiveBounded:
             s = preemptive_bounded(inst, g)
             s.verify()  # includes the per-machine capacity check
 
+    def test_busy_intervals_merge_each_machines_pieces(self, rng):
+        inst = random_flexible_instance(8, 12, rng=rng)
+        s = preemptive_bounded(inst, 2)
+        total = 0.0
+        for m in s.machines:
+            busy = s.busy_intervals_of(m)
+            for (_, b), (a, _) in zip(busy, busy[1:]):
+                assert b < a  # disjoint, sorted, touching runs merged
+            for p in s.pieces:
+                if p.machine == m:
+                    assert any(
+                        a <= p.start and p.end <= b for a, b in busy
+                    )
+            total += sum(b - a for a, b in busy)
+        assert total == pytest.approx(s.total_busy_time)
+
     def test_large_g_matches_unbounded(self, rng):
         inst = random_flexible_instance(6, 9, rng=rng)
         s = preemptive_bounded(inst, inst.n)

@@ -206,6 +206,15 @@ class TestInstanceQueries:
         rest = tiny_instance.without([0, 2])
         assert {j.id for j in rest} == {1}
 
+    def test_sorted_by_returns_a_reordered_copy(self, tiny_instance):
+        by_length = tiny_instance.sorted_by(lambda j: j.length)
+        assert [j.id for j in by_length.jobs] == [2, 0, 1]
+        longest_first = tiny_instance.sorted_by(
+            lambda j: j.length, reverse=True
+        )
+        assert [j.id for j in longest_first.jobs] == [1, 0, 2]
+        assert [j.id for j in tiny_instance.jobs] == [0, 1, 2]
+
     def test_renumbered(self, tiny_instance):
         sub = tiny_instance.subset([1, 2]).renumbered()
         assert [j.id for j in sub.jobs] == [0, 1]

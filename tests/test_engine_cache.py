@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import Instance
+from repro.core import Instance, Job
 from repro.engine import ResultCache, instance_digest, task_digest
+from repro.engine.cache import canonical_task
 
 
 @pytest.fixture
@@ -40,6 +41,19 @@ class TestDigests:
         assert base != task_digest(
             inst, "active", "minimal", 2, {"extra": 1}
         )
+
+    def test_canonical_task_lists_every_axis_without_labels(self):
+        inst = Instance((Job(0, 4, 2, id=3, label="a"), Job(1, 5, 3, id=1)))
+        assert canonical_task(
+            inst, "busy", "exact", 2, {"seed": 1, "backend": "x"}
+        ) == {
+            "jobs": [[0, 4, 2, 3], [1, 5, 3, 1]],
+            "problem": "busy",
+            "algorithm": "exact",
+            "g": 2,
+            "params": {"backend": "x", "seed": 1},
+        }
+        assert canonical_task(inst, "busy", "exact", 2)["params"] == {}
 
     def test_param_key_order_is_irrelevant(self, inst):
         assert task_digest(
@@ -127,12 +141,21 @@ class TestDiskLayer:
         assert cache.get("bad") is None
 
     @pytest.mark.parametrize(
-        "content", [b"\x80\x81", b"[1, 2]"], ids=["not-utf8", "not-an-object"]
+        "content",
+        [b"\x80\x81", b"[1, 2]", b"", b"null", b'"objective"', b"7.5"],
+        ids=["not-utf8", "not-an-object", "empty", "null", "string", "number"],
     )
     def test_undecodable_file_is_a_miss(self, tmp_path, content):
         (tmp_path / "bad.json").write_bytes(content)
         cache = ResultCache(directory=tmp_path)
         assert cache.get("bad") is None
+        assert cache.stats["misses"] == 1
+        assert cache.stats["hits"] == 0
+
+    def test_put_over_an_unreadable_file_reads_back(self, tmp_path):
+        (tmp_path / "bad.json").write_bytes(b"{not json")
+        ResultCache(directory=tmp_path).put("bad", {"objective": 3.0})
+        assert ResultCache(directory=tmp_path).get("bad") == {"objective": 3.0}
 
     def test_clear_keeps_disk(self, tmp_path):
         cache = ResultCache(directory=tmp_path)

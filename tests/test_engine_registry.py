@@ -13,10 +13,15 @@ from repro.engine import (
     read_results,
     solve,
 )
-from repro.engine.registry import DEFAULT_ALGORITHM, PROBLEMS
+from repro.engine.registry import (
+    DEFAULT_ALGORITHM,
+    PROBLEMS,
+    backend_task_params,
+)
 from repro.io import save_instance
 from repro.serve import task_request
 from repro.serve.server import ServeApp, parse_task_request
+from repro.solvers import BACKEND_ENV_VAR, DEFAULT_BACKEND
 
 
 class TestCompleteness:
@@ -75,6 +80,50 @@ class TestDefaultAlgorithm:
         finally:
             app.close()
         assert defaults[problem] == expected
+
+
+class TestBackendRouting:
+    """``backend_task_params``: the one routing policy of CLI and sweeps."""
+
+    def test_combinatorial_algorithm_pins_nothing(self):
+        assert backend_task_params("active", "minimal", None) == {}
+
+    def test_backend_named_for_a_combinatorial_algorithm_is_refused(self):
+        with pytest.raises(ValueError, match="does not use an LP/MILP"):
+            backend_task_params("active", "minimal", DEFAULT_BACKEND)
+
+    def test_sweeps_ignore_a_backend_named_for_a_combinatorial_one(self):
+        params = backend_task_params(
+            "active", "unit", DEFAULT_BACKEND, strict=False
+        )
+        assert params == {}
+
+    @pytest.mark.parametrize(
+        "problem, name",
+        [
+            ("active", "rounding"),
+            ("active", "exact"),
+            ("busy", "greedy_tracking"),
+            ("busy", "exact"),
+        ],
+    )
+    def test_solver_algorithm_pins_the_resolved_backend(
+        self, problem, name, monkeypatch
+    ):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        assert backend_task_params(problem, name, None) == {
+            "backend": DEFAULT_BACKEND
+        }
+
+    def test_unknown_backend_name_raises_with_the_menu(self):
+        with pytest.raises(ValueError, match="available backends"):
+            backend_task_params("active", "rounding", "no-such-backend")
+
+    def test_describe_row_columns(self):
+        rows = {spec.key: spec.describe_row() for spec in REGISTRY.specs()}
+        assert rows[("busy", "exact")][2:4] == ["exact", "milp"]
+        assert rows[("active", "minimal")][2:4] == ["3-approx (Thm 1)", "-"]
+        assert rows[("active", "rounding")][2:4] == ["2-approx (Thm 2)", "lp"]
 
 
 class TestDispatch:

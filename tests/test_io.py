@@ -37,6 +37,79 @@ class TestJson:
         assert instance_from_json(instance_to_json(inst)) == inst
 
 
+class TestPayload:
+    """The dict wire format shared by files, JSONL and the HTTP layer."""
+
+    def test_roundtrip_keeps_ids_labels_and_metadata(self):
+        from repro.io import instance_from_payload, instance_to_payload
+
+        inst = Instance(
+            (Job(0, 3, 2, id=7, label="rigid"), Job(1, 5, 1, id=2))
+        )
+        payload = instance_to_payload(inst, g=3)
+        assert payload["metadata"] == {"g": 3}
+        back = instance_from_payload(payload)
+        assert back == inst
+        assert [j.label for j in back.jobs] == ["rigid", ""]
+
+    def test_hand_written_payload_needs_no_marker_or_ids(self):
+        from repro.io import instance_from_payload
+
+        inst = instance_from_payload(
+            {"jobs": [{"release": 0, "deadline": 4, "length": 2},
+                      {"release": 1, "deadline": 5, "length": 3}]}
+        )
+        assert inst == Instance.from_tuples([(0, 4, 2), (1, 5, 3)])
+        assert [j.id for j in inst.jobs] == [0, 1]
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "must be an object"),
+            ({"format": "other", "jobs": []}, "format marker"),
+            ({}, "'jobs' array"),
+            ({"jobs": {"release": 0}}, "'jobs' array"),
+            ({"jobs": [[0, 4, 2]]}, "job 0 must be an object"),
+            ({"jobs": [{"release": 0, "length": 2}]}, "missing .*'deadline'"),
+            (
+                {"jobs": [{"release": "0", "deadline": 4, "length": 2}]},
+                "'release' must be a number",
+            ),
+            (
+                {"jobs": [{"release": 0, "deadline": True, "length": 2}]},
+                "'deadline' must be a number",
+            ),
+            (
+                {"jobs": [{"release": 0, "deadline": 4, "length": 2,
+                           "id": 1.5}]},
+                "'id' must be an integer",
+            ),
+            (
+                {"jobs": [{"release": 0, "deadline": 4, "length": 2,
+                           "id": False}]},
+                "'id' must be an integer",
+            ),
+        ],
+        ids=[
+            "not-an-object",
+            "wrong-marker",
+            "no-jobs",
+            "jobs-not-a-list",
+            "job-not-an-object",
+            "missing-field",
+            "quoted-number",
+            "bool-field",
+            "fractional-id",
+            "bool-id",
+        ],
+    )
+    def test_malformed_payload_names_its_fault(self, payload, message):
+        from repro.io import instance_from_payload
+
+        with pytest.raises(ValueError, match=message):
+            instance_from_payload(payload)
+
+
 class TestCsv:
     def test_roundtrip(self, tiny_instance):
         text = instance_to_csv(tiny_instance)

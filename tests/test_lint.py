@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 
 from repro.lint import RULES, lint_paths
+from repro.lint.base import Finding
 from repro.lint.cli import main as lint_main
+from repro.lint.report import render_text
+from repro.lint.runner import LintReport
 from repro.lint.waivers import parse_waivers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -561,6 +564,38 @@ def test_seeded_violation_fails_the_gate(rule_id, tmp_path, capsys):
 # ----------------------------------------------------------------------
 # The real tree: self-lint and metrics-catalog parity
 # ----------------------------------------------------------------------
+
+class TestTextReport:
+    """``render_text``: one line per finding, then one summary line."""
+
+    def test_findings_then_their_count(self):
+        report = LintReport(
+            findings=[Finding("a.py", 4, "REP001", "blocking call")],
+            waived=[Finding("a.py", 9, "REP002", "broad except")],
+            files_scanned=3,
+            rules_run=["REP001", "REP002"],
+        )
+        assert render_text(report).splitlines() == [
+            "a.py:4: REP001 blocking call",
+            "1 finding(s) across 3 file(s); 1 waived",
+        ]
+
+    def test_clean_report_names_the_rules_run(self):
+        report = LintReport(files_scanned=2, rules_run=["REP001", "REP006"])
+        assert render_text(report) == (
+            "lint clean: 2 file(s), rules REP001, REP006"
+        )
+
+    def test_clean_report_counts_its_waivers(self):
+        report = LintReport(
+            waived=[Finding("a.py", 1, "REP002", "broad except")],
+            files_scanned=1,
+            rules_run=["REP002"],
+        )
+        assert render_text(report) == (
+            "lint clean: 1 file(s), rules REP002; 1 finding(s) waived"
+        )
+
 
 class TestRealTree:
     def test_framework_keeps_the_tree_clean(self):

@@ -84,6 +84,44 @@ class TestModelSemantics:
         assert all(b == (0.0, 1.0) for b in bounds)
 
 
+class TestLinearProgram:
+    """The backend-neutral program the model emits."""
+
+    def test_variable_names_label_every_column(self, tiny_instance):
+        model = build_active_time_model(tiny_instance, g=2)
+        names = model.variable_names()
+        assert len(names) == model.num_vars
+        assert names[: model.T] == tuple(
+            f"y[{t}]" for t in range(1, model.T + 1)
+        )
+        for (jid, t), col in model.x_index.items():
+            assert names[col] == f"x[{jid},{t}]"
+
+    def test_integral_marks_only_the_y_columns(self, tiny_instance):
+        model = build_active_time_model(tiny_instance, g=2)
+        lp = model.to_linear_program()
+        milp = model.to_linear_program(integral=True)
+        for program in (lp, milp):
+            assert program.num_vars == model.num_vars
+            assert program.num_constraints == len(model.b_ub)
+        assert lp.required_capability == "lp"
+        assert not lp.integrality_array().any()
+        assert milp.required_capability == "milp"
+        mask = milp.integrality_array()
+        assert mask[: model.T].all() and not mask[model.T :].any()
+
+    def test_bounds_and_mask_are_fresh_copies(self, tiny_instance):
+        model = build_active_time_model(tiny_instance, g=2)
+        program = model.to_linear_program(integral=True)
+        lb, ub = program.bounds_arrays()
+        lb[:] = 7.0
+        ub[:] = -7.0
+        program.integrality_array()[:] = 0
+        lb2, ub2 = program.bounds_arrays()
+        assert (lb2 == 0.0).all() and (ub2 == 1.0).all()
+        assert program.is_milp
+
+
 class TestValidation:
     def test_rejects_non_integral(self):
         inst = Instance.from_intervals([(0.0, 1.5)])
