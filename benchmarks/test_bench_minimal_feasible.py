@@ -10,8 +10,8 @@ library's greedy minimizer (inside-out closing order) actually lands on it.
 import pytest
 
 from repro.activetime import exact_active_time, minimal_feasible_schedule
-from repro.flow import is_feasible_slot_set
-from repro.instances import figure3
+from repro.flow import ActiveTimeFeasibility, is_feasible_slot_set
+from repro.instances import SWEEP_GENERATORS, figure3
 
 
 @pytest.mark.parametrize("g", [3, 4, 6, 8])
@@ -66,3 +66,34 @@ def test_minimal_feasible_runtime(benchmark, g):
         minimal_feasible_schedule, gad.instance, g, order="inside_out"
     )
     assert schedule.is_valid()
+
+
+@pytest.mark.parametrize(
+    "gen, cost, max_probes, plain_probes",
+    [("active", 113, 16, 121), ("tight", 42, 50, 79)],
+)
+def test_minimal_probe_count(gen, cost, max_probes, plain_probes, emit,
+                             monkeypatch):
+    """Closes that counting alone shows infeasible are never probed.
+
+    Probing every close costs one probe per slot plus the starting check
+    (``plain_probes``); the count is deterministic, so the ceiling cannot
+    flake, and the cost pins that no decision changed.
+    """
+    probes = []
+    is_feasible = ActiveTimeFeasibility.is_feasible
+
+    def counting(oracle, *args, **kwargs):
+        probes.append(args)
+        return is_feasible(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(ActiveTimeFeasibility, "is_feasible", counting)
+    instance = SWEEP_GENERATORS[gen](300, 120, 12, 77)
+    schedule = minimal_feasible_schedule(instance, 12)
+    emit(
+        f"minimal feasible probes, generator {gen!r} (n=300, g=12, seed 77)",
+        ["cost", "probes", "probing every close"],
+        [[schedule.cost, len(probes), plain_probes]],
+    )
+    assert schedule.cost == cost
+    assert len(probes) <= max_probes

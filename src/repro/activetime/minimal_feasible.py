@@ -35,11 +35,16 @@ def _ordering(
     candidates: list[int],
     rng: np.random.Generator | None,
 ) -> list[int]:
-    """Resolve the closing order specification into a concrete slot list."""
+    """Resolve the closing order specification into a concrete slot list.
+
+    An explicit order keeps only the first time it names a slot: closing
+    only shrinks the open set, so a close that failed once fails again.
+    """
     if not isinstance(order, str):
-        explicit = [t for t in order if t in set(candidates)]
-        rest = [t for t in candidates if t not in set(explicit)]
-        return list(explicit) + rest
+        allowed = set(candidates)
+        explicit = list(dict.fromkeys(t for t in order if t in allowed))
+        named = set(explicit)
+        return explicit + [t for t in candidates if t not in named]
     if order == "left":
         return sorted(candidates)
     if order == "right":
@@ -68,6 +73,11 @@ def close_slots_greedily(
 
     Returns the resulting minimal feasible slot set (sorted).  Raises
     ``ValueError`` when ``start_slots`` is not feasible to begin with.
+
+    A close is rejected without a flow probe when some job live in the
+    slot has exactly ``p_j`` open slots left in its window: closing the
+    slot would leave that job too few, so the close is infeasible in every
+    order and the probe would only confirm it.
     """
     require_integral(instance)
     require_capacity(g)
@@ -77,10 +87,25 @@ def close_slots_greedily(
     if not oracle.is_feasible(active):
         raise ValueError("starting slot set is infeasible; nothing to minimize")
 
+    # slack[k]: open slots in job k's window minus its length; live[t]:
+    # the jobs whose window contains slot t.
+    live: list[list[int]] = [[] for _ in range(instance.horizon + 1)]
+    slack: list[int] = []
+    for k, job in enumerate(instance.jobs):
+        window = job.feasible_slots()
+        slack.append(len(active.intersection(window)) - job.integral_length())
+        for t in window:
+            live[t].append(k)
+
     for t in _ordering(order, sorted(active), rng):
+        members = live[t] if 1 <= t < len(live) else ()
+        if any(slack[k] == 0 for k in members):
+            continue
         trial = active - {t}
         if oracle.is_feasible(trial):
             active = trial
+            for k in members:
+                slack[k] -= 1
     return sorted(active)
 
 

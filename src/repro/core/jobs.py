@@ -19,6 +19,7 @@ time is forced, so it occupies exactly ``[r_j, d_j)``.  All other jobs are
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -32,7 +33,7 @@ __all__ = ["Job", "Instance", "TIME_EPS"]
 TIME_EPS = 1e-9
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Job:
     """A single job with a release time, deadline and processing length.
 
@@ -66,6 +67,15 @@ class Job:
                 f"job {self.id}: window [{self.release}, {self.deadline}) "
                 f"cannot fit length {self.length}"
             )
+
+    def __reduce__(self):
+        # Pickle as a constructor call: without it a slotted dataclass
+        # pickles through dataclasses' Python-level ``__getstate__``, which
+        # is slower and larger.
+        return (
+            type(self),
+            (self.release, self.deadline, self.length, self.id, self.label),
+        )
 
     # ------------------------------------------------------------------
     # Window geometry
@@ -172,7 +182,8 @@ class Instance:
     Job ids are required to be unique; most constructors assign them
     automatically.  The instance exposes both the continuous-time quantities
     used by busy-time algorithms and the slotted quantities used by the
-    active-time algorithms.
+    active-time algorithms.  Neither it nor its jobs can change, so
+    ``horizon`` and ``is_integral`` are computed once, on first use.
     """
 
     jobs: tuple[Job, ...]
@@ -254,7 +265,7 @@ class Instance:
             return 0.0
         return max(j.deadline for j in self.jobs)
 
-    @property
+    @functools.cached_property
     def horizon(self) -> int:
         """Number of relevant slots ``T`` for an integral instance."""
         if not self.jobs:
@@ -277,7 +288,7 @@ class Instance:
         """True when every job has unit length."""
         return all(j.is_unit for j in self.jobs)
 
-    @property
+    @functools.cached_property
     def is_integral(self) -> bool:
         """True when all releases, deadlines and lengths are integers."""
 

@@ -11,10 +11,13 @@ tuned for repeated solves on small-to-medium networks:
 * BFS level graph + iterative DFS blocking flow (no recursion limits),
 * integer capacities throughout, so the returned flow is integral — the
   property the rounding proof leans on ("by integrality of flow"),
+* :meth:`Dinic.add_edges` builds a whole network in one call,
 * flows persist between solves: :meth:`Dinic.augment` grows the flow already
   routed to a maximum one, so a caller that changes a few capacities (and
   cancels the flow above them with :meth:`Dinic.push`) re-solves from its
   previous answer; :meth:`Dinic.max_flow` is a reset plus one ``augment``.
+  A caller that knows short paths likely to have room can route along them
+  first with :meth:`Dinic.push_greedily`.
 
 Dinic's algorithm runs in ``O(V^2 E)`` in general and ``O(E sqrt(V))`` on unit
 bipartite networks, far better than needed at the instance sizes the paper's
@@ -24,7 +27,10 @@ experiments require.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = ["Dinic", "MaxFlowResult"]
 
@@ -108,6 +114,47 @@ class Dinic:
         self._adj[v].append(handle + 1)
         return handle
 
+    def add_edges(
+        self, tails: ArrayLike, heads: ArrayLike, capacities: ArrayLike
+    ) -> int:
+        """Add the edges ``tails[k] -> heads[k]`` in one pass.
+
+        Takes three equal-length integer sequences or arrays.  Returns the
+        handle of the first edge; edge ``k`` gets handle ``first + 2 * k``,
+        as ``k`` calls of :meth:`add_edge` in the same order would give, so
+        the network is the same edge for edge, adjacency order included.
+        """
+        tails, heads, capacities = (
+            np.asarray(a, dtype=np.int64).ravel()
+            for a in (tails, heads, capacities)
+        )
+        m = len(tails)
+        if len(heads) != m or len(capacities) != m:
+            raise ValueError("tails, heads and capacities differ in length")
+        first = len(self._head)
+        if m == 0:
+            return first
+        ends = np.concatenate((tails, heads))
+        if ends.min() < 0 or ends.max() >= self.n:
+            raise IndexError(f"edge endpoint out of range for {self.n} nodes")
+        if capacities.min() < 0:
+            raise ValueError("capacity must be non-negative")
+        # Half-edge i is forward edge i // 2 when i is even, its residual
+        # twin when odd: the twin runs back from the head to the tail.
+        owner = np.empty(2 * m, dtype=np.int64)
+        owner[0::2], owner[1::2] = tails, heads
+        head = np.empty(2 * m, dtype=np.int64)
+        head[0::2], head[1::2] = heads, tails
+        cap = np.zeros(2 * m, dtype=np.int64)
+        cap[0::2] = capacities
+        self._head.extend(head.tolist())
+        self._cap.extend(cap.tolist())
+        self._orig_cap.extend(cap.tolist())
+        adj = self._adj
+        for handle, u in enumerate(owner.tolist(), first):
+            adj[u].append(handle)
+        return first
+
     def set_capacity(self, handle: int, capacity: int) -> None:
         """Update the capacity of a previously added edge, keeping its flow.
 
@@ -140,6 +187,29 @@ class Dinic:
         for e in path:
             cap[e] -= amount
             cap[e ^ 1] += amount
+
+    def push_greedily(self, paths: Iterable[Sequence[int]], limit: int) -> int:
+        """Route one unit along each path with room on every edge, in order.
+
+        Stops once ``limit`` units are routed and returns how many were.
+        Each path must run from the source to the sink; then every unit
+        routed is an augmenting path, and :meth:`augment` can finish the
+        flow to a maximum one.
+        """
+        cap = self._cap
+        routed = 0
+        for path in paths:
+            if routed >= limit:
+                break
+            for e in path:
+                if cap[e] <= 0:
+                    break
+            else:
+                for e in path:
+                    cap[e] -= 1
+                    cap[e ^ 1] += 1
+                routed += 1
+        return routed
 
     # ------------------------------------------------------------------
     # Solving

@@ -17,12 +17,19 @@ a growing prefix of jobs against a growing slot set.  So
 maximum flow, and answers each probe from that flow: it cancels the flow
 through every slot or job the probe drops (every path is source -> job ->
 slot -> sink, so that is one unit per job-slot edge), opens what the probe
-adds, and augments in the residual graph.  Every answer is still exact.
+adds, and augments in the residual graph.  Before augmenting, it sends each
+unit of the jobs the probe displaced or added straight into an open slot of
+the job's window that has room.  Each such unit is an augmenting path, so
+augmenting still ends at a maximum flow and every answer is still exact;
+it just has less left to find, often nothing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from ..core.jobs import Instance
 from ..core.validation import require_capacity, require_integral
@@ -54,49 +61,72 @@ class ActiveTimeFeasibility:
         require_capacity(g)
         self.instance = instance
         self.g = g
-        self.T = instance.horizon
-        self.P = int(round(instance.total_length))
+        self.T = T = instance.horizon
 
-        n = instance.n
+        jobs = instance.jobs
+        n = len(jobs)
         # node layout: 0 = source, 1..n = jobs, n+1..n+T = slots, n+T+1 = sink
         self._source = 0
-        self._sink = n + self.T + 1
-        net = Dinic(n + self.T + 2)
+        self._sink = n + T + 1
+        # Integral (checked above), so rounding recovers the exact values.
+        release = np.rint([job.release for job in jobs]).astype(np.int64)
+        deadline = np.rint([job.deadline for job in jobs]).astype(np.int64)
+        length = np.rint([job.length for job in jobs]).astype(np.int64)
+        first, width = release + 1, deadline - release
+        self.P = int(length.sum())
 
-        self._job_edge: dict[int, int] = {}
-        self._length: dict[int, int] = {}
-        # per job id, the (slot, unit edge) pairs of its job->slot edges
-        self._job_units: dict[int, list[tuple[int, int]]] = {}
-        # per slot, the (job edge, unit edge) pairs of the jobs live in it
-        self._slot_units: list[list[tuple[int, int]]] = [
-            [] for _ in range(self.T + 1)
-        ]
-        self._slot_edge: list[int] = [-1] * (self.T + 1)  # 1-based by slot
+        # The edges, as one add_edge call each would order them (edge i
+        # has handle 2i): every job's source edge followed by its unit
+        # edges into the slots of its window, in slot order; then the slot
+        # -> sink edges.  Unit u is job_of[u]'s edge into slot slot_of[u];
+        # job k's units follow the offset[k] units of the jobs before it.
+        m = int(width.sum())
+        offset = np.cumsum(width) - width
+        job_of = np.repeat(np.arange(n), width)
+        slot_of = np.arange(m) + np.repeat(first - offset, width)
+        job_at = np.arange(n) + offset
+        unit_at = np.arange(m) + job_of + 1
+        tails = np.zeros(n + m + T, dtype=np.int64)
+        heads = np.full(n + m + T, self._sink, dtype=np.int64)
+        caps = np.zeros(n + m + T, dtype=np.int64)
+        heads[job_at] = 1 + np.arange(n)
+        tails[unit_at], heads[unit_at], caps[unit_at] = 1 + job_of, n + slot_of, 1
+        tails[n + m :] = n + 1 + np.arange(T)
+        self._net = Dinic(n + T + 2)
+        self._net.add_edges(tails, heads, caps)
 
-        for pos, job in enumerate(instance.jobs):
-            jn = 1 + pos
-            length = job.integral_length()
-            job_edge = net.add_edge(self._source, jn, length)
-            self._job_edge[job.id] = job_edge
-            self._length[job.id] = length
-            units = self._job_units[job.id] = []
-            for t in job.feasible_slots():
-                unit = net.add_edge(jn, n + t, 1)
-                units.append((t, unit))
-                self._slot_units[t].append((job_edge, unit))
-        for t in range(1, self.T + 1):
-            self._slot_edge[t] = net.add_edge(n + t, self._sink, 0)
+        # Per job position k: its source edge, first slot, window width and
+        # length; per slot, the positions of the jobs live in it.
+        self._job_edge = (2 * job_at).tolist()
+        self._slot_edge = [-1, *range(2 * (n + m), 2 * (n + m + T), 2)]
+        self._first = first.tolist()
+        self._width = width.tolist()
+        self._length = length.tolist()
+        self._live: list[list[int]] = [[] for _ in range(T + 1)]
+        for k, t in zip(job_of.tolist(), slot_of.tolist()):
+            self._live[t].append(k)
+        self._pos = {job.id: k for k, job in enumerate(jobs)}
 
-        self._net = net
         # The kept maximum flow: its value, the slots whose sink edge is
         # open, the jobs whose source edge is open and their total length.
+        # Every edge out of the source and into the sink starts closed, so
+        # the first probe adds its jobs and pre-routes them like any other.
         self._value = 0
         self._open: set[int] = set()
-        self._jobs = frozenset(self._job_edge)
-        self._all_jobs = self._jobs
-        self._supply = self.P
+        self._jobs: frozenset[int] = frozenset()
+        self._all_jobs = frozenset(self._pos)
+        self._supply = 0
 
     # ------------------------------------------------------------------
+    def _paths(self, k: int) -> Iterator[tuple[int, int, int]]:
+        """Job ``k``'s source -> job -> slot -> sink paths, in slot order."""
+        edge, first, width = self._job_edge[k], self._first[k], self._width[k]
+        return zip(
+            itertools.repeat(edge, width),
+            range(edge + 2, edge + 2 * width + 1, 2),
+            self._slot_edge[first : first + width],
+        )
+
     def _update(
         self, active_slots: Iterable[int], jobs: Iterable[int] | None
     ) -> int:
@@ -110,32 +140,51 @@ class ActiveTimeFeasibility:
                 f"unknown job ids {sorted(wanted - self._all_jobs)}"
             )
         net = self._net
+        flow = net.flow
         opened = slots - self._open
         closed = self._open - slots
         added = wanted - self._jobs
         dropped = self._jobs - wanted
+        # Positions of the jobs that lost flow to a closed slot or join
+        # now, in a fixed order: their units are routed again below.
+        unrouted: dict[int, None] = {}
         for t in closed:
             slot_edge = self._slot_edge[t]
-            if net.flow(slot_edge):
-                for job_edge, unit in self._slot_units[t]:
-                    if net.flow(unit):
+            if flow(slot_edge):
+                for k in self._live[t]:
+                    job_edge = self._job_edge[k]
+                    unit = job_edge + 2 * (t - self._first[k] + 1)
+                    if flow(unit):
                         net.push((job_edge, unit, slot_edge), -1)
                         self._value -= 1
+                        unrouted[k] = None
             net.set_capacity(slot_edge, 0)
         for jid in dropped:
-            job_edge = self._job_edge[jid]
-            if net.flow(job_edge):
-                for t, unit in self._job_units[jid]:
-                    if net.flow(unit):
-                        net.push((job_edge, unit, self._slot_edge[t]), -1)
+            k = self._pos[jid]
+            job_edge = self._job_edge[k]
+            if flow(job_edge):
+                for path in self._paths(k):
+                    if flow(path[1]):
+                        net.push(path, -1)
                         self._value -= 1
             net.set_capacity(job_edge, 0)
-            self._supply -= self._length[jid]
+            self._supply -= self._length[k]
+            unrouted.pop(k, None)
         for t in opened:
             net.set_capacity(self._slot_edge[t], self.g)
         for jid in added:
-            net.set_capacity(self._job_edge[jid], self._length[jid])
-            self._supply += self._length[jid]
+            k = self._pos[jid]
+            net.set_capacity(self._job_edge[k], self._length[k])
+            self._supply += self._length[k]
+            unrouted[k] = None
+        # Greedy pre-route: each missing unit goes straight into an open
+        # slot of its job's window that has room.  Every such unit is an
+        # augmenting path, so augment still ends at a maximum flow; it
+        # only has less left to find.
+        for k in unrouted:
+            self._value += net.push_greedily(
+                self._paths(k), self._length[k] - flow(self._job_edge[k])
+            )
         self._open, self._jobs = slots, wanted
         changed = opened or closed or added or dropped
         if changed and self._value < self._supply:
@@ -170,8 +219,12 @@ class ActiveTimeFeasibility:
             return None
         flow = self._net.flow
         return {
-            j.id: [t for t, unit in self._job_units[j.id] if flow(unit) > 0]
-            for j in self.instance.jobs
+            j.id: [
+                self._first[k] + i
+                for i, (_, unit, _) in enumerate(self._paths(k))
+                if flow(unit) > 0
+            ]
+            for k, j in enumerate(self.instance.jobs)
             if j.id in self._jobs
         }
 

@@ -114,7 +114,6 @@ class ActiveTimeModel:
             lb=np.zeros(self.num_vars),
             ub=np.ones(self.num_vars),
             integrality=integrality,
-            names=self.variable_names(),
             label=f"active-time {'IP' if integral else 'LP1'} "
             f"(n={self.instance.n}, T={self.T}, g={self.g})",
         )
@@ -146,57 +145,51 @@ def build_active_time_model(instance: Instance, g: int) -> ActiveTimeModel:
     require_integral(instance, "active-time LP")
     require_capacity(g)
     T = instance.horizon
+    jobs = instance.jobs
+    # Integral (checked above), so rounding recovers the exact integers.
+    release = np.rint([job.release for job in jobs]).astype(np.int64)
+    deadline = np.rint([job.deadline for job in jobs]).astype(np.int64)
+    lengths = np.rint([job.length for job in jobs])
 
-    x_index: dict[tuple[int, int], int] = {}
-    col = T
-    for job in instance.jobs:
-        for t in job.feasible_slots():
-            x_index[(job.id, t)] = col
-            col += 1
-    num_vars = col
+    # Pair k is the k-th feasible (job, slot) pair in job-major order; its
+    # x variable is column T + k.
+    width = deadline - release
+    m = int(width.sum())
+    offset = np.cumsum(width) - width  # pairs of the jobs before job k
+    slot = np.arange(m) + np.repeat(release + 1 - offset, width)
+    x_col = T + np.arange(m)
+    ids = np.repeat([job.id for job in jobs], width).astype(np.int64)
+    x_index = dict(zip(zip(ids.tolist(), slot.tolist()), range(T, T + m)))
+    num_vars = T + m
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b: list[float] = []
-    row = 0
-
-    # (1) x_{t,j} - y_t <= 0 for every feasible pair
-    for (job_id, t), xc in x_index.items():
-        rows += [row, row]
-        cols += [xc, t - 1]
-        vals += [1.0, -1.0]
-        b.append(0.0)
-        row += 1
-
-    # (2) sum_j x_{t,j} - g y_t <= 0 for every slot
-    per_slot: dict[int, list[int]] = {}
-    for (job_id, t), xc in x_index.items():
-        per_slot.setdefault(t, []).append(xc)
-    for t in range(1, T + 1):
-        members = per_slot.get(t, [])
-        for xc in members:
-            rows.append(row)
-            cols.append(xc)
-            vals.append(1.0)
-        rows.append(row)
-        cols.append(t - 1)
-        vals.append(-float(g))
-        b.append(0.0)
-        row += 1
-
-    # (3) -sum_t x_{t,j} <= -p_j for every job (coverage)
-    for job in instance.jobs:
-        for t in job.feasible_slots():
-            rows.append(row)
-            cols.append(x_index[(job.id, t)])
-            vals.append(-1.0)
-        b.append(-float(job.integral_length()))
-        row += 1
-
-    a_ub = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(row, num_vars)
-    ).tocsr()
+    # The rows, each listing its columns in increasing order (CSR layout):
+    # (1) x_{t,j} - y_t <= 0 for every pair: y_t, then x_{t,j};
+    pair_cols = np.empty(2 * m, dtype=np.int64)
+    pair_cols[0::2] = slot - 1
+    pair_cols[1::2] = x_col
+    pair_vals = np.tile([-1.0, 1.0], m)
+    # (2) -g y_t + sum_j x_{t,j} <= 0 for every slot: y_t, then the slot's
+    #     pairs in column order (a stable sort keeps job-major order);
+    per_slot = np.bincount(slot, minlength=T + 1)[1:]
+    y_at = np.cumsum(1 + per_slot) - (1 + per_slot)
+    is_y = np.zeros(T + m, dtype=bool)
+    is_y[y_at] = True
+    slot_cols = np.empty(T + m, dtype=np.int64)
+    slot_cols[is_y] = np.arange(T)
+    slot_cols[~is_y] = T + np.argsort(slot, kind="stable")
+    slot_vals = np.where(is_y, -float(g), 1.0)
+    # (3) -sum_t x_{t,j} <= -p_j for every job (coverage): its own pairs.
+    row_sizes = np.concatenate((np.full(m, 2), 1 + per_slot, width))
+    indptr = np.concatenate(([0], np.cumsum(row_sizes)))
+    a_ub = sparse.csr_matrix(
+        (
+            np.concatenate((pair_vals, slot_vals, np.full(m, -1.0))),
+            np.concatenate((pair_cols, slot_cols, x_col)),
+            indptr,
+        ),
+        shape=(len(row_sizes), num_vars),
+    )
+    b_ub = np.concatenate((np.zeros(m + T), -lengths))
     objective = np.zeros(num_vars)
     objective[:T] = 1.0
 
@@ -206,7 +199,7 @@ def build_active_time_model(instance: Instance, g: int) -> ActiveTimeModel:
         T=T,
         num_vars=num_vars,
         a_ub=a_ub,
-        b_ub=np.asarray(b),
+        b_ub=b_ub,
         objective=objective,
         x_index=x_index,
     )

@@ -65,9 +65,6 @@ class LinearProgram:
         Per-column bounds (``-inf``/``inf`` allowed).
     integrality:
         Per-column 0/1 mask; 1 marks an integer-constrained column.
-    names:
-        Optional per-column labels (``y[3]``, ``x[j=2,t=5]``) carried
-        for diagnostics; backends never rely on them.
     """
 
     c: np.ndarray
@@ -78,7 +75,6 @@ class LinearProgram:
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
     integrality: np.ndarray | None = None
-    names: tuple[str, ...] | None = None
     #: Free-form provenance ("active-time LP1", "busy interval MILP");
     #: shows up in backend error messages.
     label: str = field(default="")
@@ -161,7 +157,6 @@ class LinearProgram:
         lb=None,
         ub=None,
         integrality=None,
-        names: tuple[str, ...] | None = None,
         label: str = "",
     ) -> "LinearProgram":
         """Validating constructor: normalizes arrays and checks shapes."""
@@ -186,8 +181,6 @@ class LinearProgram:
         for name, arr in (("lb", lb), ("ub", ub), ("integrality", integrality)):
             if arr is not None and len(np.asarray(arr).ravel()) != n:
                 raise ValueError(f"{name} must have one entry per column")
-        if names is not None and len(names) != n:
-            raise ValueError("names must have one entry per column")
         return cls(
             c=c,
             a_ub=a_ub,
@@ -201,7 +194,6 @@ class LinearProgram:
                 if integrality is None
                 else np.asarray(integrality, dtype=float).ravel()
             ),
-            names=names,
             label=label,
         )
 
@@ -216,7 +208,6 @@ class LinearProgram:
         lb=None,
         ub=None,
         integrality=None,
-        names: tuple[str, ...] | None = None,
         label: str = "",
     ) -> "LinearProgram":
         """Build from two-sided rows ``row_lb <= a @ x <= row_ub``.
@@ -269,7 +260,6 @@ class LinearProgram:
             lb=lb,
             ub=ub,
             integrality=integrality,
-            names=names,
             label=label,
         )
 

@@ -83,7 +83,7 @@ class ScipyHighsBackend:
             b_ub=lp.b_ub,
             A_eq=lp.a_eq,
             b_eq=lp.b_eq,
-            bounds=list(zip(lb, ub)),
+            bounds=np.column_stack((lb, ub)),
             method="highs",
             options=options or None,
         )

@@ -1,5 +1,9 @@
 """Unit tests for the job/instance model (repro.core.jobs)."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.core import Instance, Job
@@ -32,6 +36,37 @@ class TestJobConstruction:
         j = Job(0.5, 1.7, 0.4)
         assert not j.is_interval
         assert j.slack == pytest.approx(0.8)
+
+    def test_slotted_and_frozen(self):
+        j = Job(0, 4, 2, id=3)
+        assert not hasattr(j, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            j.length = 1
+
+
+class TestPickling:
+    """Jobs cross every process boundary (pool workers, the cache, serve)."""
+
+    def test_job_round_trip_keeps_equality_and_label(self):
+        j = Job(0.5, 4.0, 2.5, id=9, label="rigid")
+        for clone in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j)):
+            assert clone == j and clone.label == "rigid"
+            assert (clone.release, clone.deadline, clone.length, clone.id) == (
+                0.5, 4.0, 2.5, 9
+            )
+
+    def test_instance_round_trip_keeps_equality_and_labels(self, tiny_instance):
+        inst = Instance(
+            tuple(
+                Job(j.release, j.deadline, j.length, id=j.id, label=f"j{j.id}")
+                for j in tiny_instance
+            )
+        )
+        inst.horizon  # a cached value travels with the instance
+        clone = pickle.loads(pickle.dumps(inst))
+        assert clone == inst and hash(clone) == hash(inst)
+        assert [j.label for j in clone] == ["j0", "j1", "j2"]
+        assert clone.horizon == 6 and clone.is_integral
 
 
 class TestJobGeometry:
@@ -141,6 +176,15 @@ class TestInstanceAggregates:
         inst = Instance.from_intervals([(0.0, 1.5)])
         with pytest.raises(ValueError):
             inst.horizon
+        with pytest.raises(ValueError):  # an error is not cached
+            inst.horizon
+
+    def test_horizon_and_integrality_are_computed_once(self):
+        inst = Instance.from_tuples([(0, 4, 2), (1, 7, 3)])
+        assert inst.horizon == 7 and inst.is_integral
+        assert vars(inst) == {
+            "jobs": inst.jobs, "horizon": 7, "is_integral": True
+        }
 
     def test_earliest_release_latest_deadline(self, tiny_instance):
         assert tiny_instance.earliest_release == 0

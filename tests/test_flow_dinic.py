@@ -1,6 +1,7 @@
 """Unit tests for the Dinic max-flow solver, cross-checked against networkx."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.flow import Dinic
@@ -29,6 +30,63 @@ class TestConstruction:
     def test_rejects_negative_node_count(self):
         with pytest.raises(ValueError):
             Dinic(-1)
+
+
+class TestBulkConstruction:
+    @staticmethod
+    def random_edges(rng, n):
+        m = int(rng.integers(n, 4 * n))
+        tails = rng.integers(0, n, m).tolist()
+        heads = rng.integers(0, n, m).tolist()
+        caps = rng.integers(0, 9, m).tolist()
+        return tails, heads, caps
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_network_as_one_call_per_edge(self, seed):
+        """Same handles, and the same maximum flow edge for edge: the
+        search follows adjacency order, so equal flows need equal order."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        tails, heads, caps = self.random_edges(rng, n)
+        one, bulk = Dinic(n), Dinic(n)
+        handles = [one.add_edge(u, v, c) for u, v, c in zip(tails, heads, caps)]
+        one.add_edge(0, n - 1, 1)
+        assert bulk.add_edges(tails, heads, caps) == 0
+        assert bulk.add_edges([0], [n - 1], [1]) == 2 * len(tails)
+        assert bulk.num_edges == one.num_edges
+        assert [bulk.capacity(h) for h in handles] == caps
+        a, b = one.max_flow(0, n - 1), bulk.max_flow(0, n - 1)
+        assert (a.value, a.flows) == (b.value, b.flows)
+
+    def test_accepts_arrays_and_empty_input(self):
+        net = Dinic(3)
+        assert net.add_edges([], [], []) == 0
+        first = net.add_edges(np.array([0, 1]), np.array([1, 2]), np.array([4, 3]))
+        assert first == 0 and net.max_flow(0, 2).value == 3
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(IndexError):
+            Dinic(2).add_edges([0], [5], [1])
+        with pytest.raises(IndexError):
+            Dinic(2).add_edges([-1], [1], [1])
+        with pytest.raises(ValueError):
+            Dinic(2).add_edges([0], [1], [-1])
+        with pytest.raises(ValueError):
+            Dinic(2).add_edges([0, 1], [1], [1, 1])
+
+
+class TestPushGreedily:
+    def test_routes_along_paths_with_room_up_to_the_limit(self):
+        net = Dinic(4)  # source 0 -> 1 -> sink 3, directly or through 2
+        a = net.add_edge(0, 1, 3)
+        b = net.add_edge(1, 2, 1)
+        c = net.add_edge(2, 3, 0)  # closed: the path through it has no room
+        d = net.add_edge(1, 3, 5)
+        assert net.push_greedily([(a, b, c), (a, d), (a, d)], 5) == 2
+        assert net.flow(a) == net.flow(d) == 2 and net.flow(b) == 0
+        assert net.push_greedily([(a, d)] * 3, 0) == 0
+        assert net.push_greedily([(a, d)] * 3, 3) == 1  # a has 1 unit left
+        assert net.augment(0, 3) == 0
 
 
 class TestSimpleFlows:

@@ -1,9 +1,13 @@
 """Unit tests for the active-time LP/IP builder (repro.lp.model)."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from scipy import sparse
 
-from repro.core import Instance
+from repro.core import Instance, Job
+from repro.instances import SWEEP_GENERATORS
 from repro.lp import build_active_time_model
 
 
@@ -131,3 +135,95 @@ class TestValidation:
     def test_rejects_bad_g(self, tiny_instance):
         with pytest.raises(ValueError):
             build_active_time_model(tiny_instance, 0)
+
+
+def reference_build(instance: Instance, g: int):
+    """The one-triplet-at-a-time builder the vectorized one replaced:
+    ``(a_ub, b_ub, objective, x_index)``."""
+    T = instance.horizon
+    x_index: dict[tuple[int, int], int] = {}
+    col = T
+    for job in instance.jobs:
+        for t in job.feasible_slots():
+            x_index[(job.id, t)] = col
+            col += 1
+    num_vars = col
+
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    b: list[float] = []
+    row = 0
+    for (job_id, t), xc in x_index.items():  # x_{t,j} - y_t <= 0
+        rows += [row, row]
+        cols += [xc, t - 1]
+        vals += [1.0, -1.0]
+        b.append(0.0)
+        row += 1
+    per_slot: dict[int, list[int]] = {}
+    for (job_id, t), xc in x_index.items():
+        per_slot.setdefault(t, []).append(xc)
+    for t in range(1, T + 1):  # sum_j x_{t,j} - g y_t <= 0
+        for xc in per_slot.get(t, []):
+            rows.append(row)
+            cols.append(xc)
+            vals.append(1.0)
+        rows.append(row)
+        cols.append(t - 1)
+        vals.append(-float(g))
+        b.append(0.0)
+        row += 1
+    for job in instance.jobs:  # -sum_t x_{t,j} <= -p_j
+        for t in job.feasible_slots():
+            rows.append(row)
+            cols.append(x_index[(job.id, t)])
+            vals.append(-1.0)
+        b.append(-float(job.integral_length()))
+        row += 1
+    a_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(row, num_vars)).tocsr()
+    objective = np.zeros(num_vars)
+    objective[:T] = 1.0
+    return a_ub, np.asarray(b), objective, x_index
+
+
+def assert_same_as_reference(instance: Instance, g: int) -> None:
+    model = build_active_time_model(instance, g)
+    a_ub, b_ub, objective, x_index = reference_build(instance, g)
+    assert model.a_ub.shape == a_ub.shape
+    for part in ("indptr", "indices", "data"):
+        ours, theirs = getattr(model.a_ub, part), getattr(a_ub, part)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), part
+    for ours, theirs in ((model.b_ub, b_ub), (model.objective, objective)):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    assert list(model.x_index.items()) == list(x_index.items())  # order too
+    assert all(type(a) is int for key in model.x_index for a in key)
+
+
+@st.composite
+def integral_instances(draw):
+    jobs = []
+    for i in range(draw(st.integers(0, 10))):
+        p = draw(st.integers(1, 4))
+        r = draw(st.integers(0, 15))
+        d = draw(st.integers(r + p, r + p + 6))
+        jobs.append(Job(r, d, p, id=draw(st.integers(0, 50)) * 64 + i))
+    return Instance(tuple(jobs))
+
+
+class TestMatchesReferenceBuild:
+    """The vectorized builder emits the reference's system entry for entry."""
+
+    @given(integral_instances(), st.integers(1, 5))
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_hypothesis_instances(self, inst, g):
+        assert_same_as_reference(inst, g)
+
+    @pytest.mark.parametrize("gen", ["active", "tight"])
+    @pytest.mark.parametrize("g", [12, 16])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_benchmark_shaped_instances(self, gen, g, seed):
+        assert_same_as_reference(SWEEP_GENERATORS[gen](300, 120, g, seed), g)
