@@ -8,17 +8,18 @@ measured ratio.
 
 import pytest
 
-from repro.activetime import brute_force_active_time, exact_active_time
-from repro.busytime import (
-    brute_force_busy_time_interval,
-    exact_busy_time_interval,
-    opt_infinity,
-    span_search_exact,
-)
+from repro.activetime import exact_active_time
+from repro.busytime import exact_busy_time_interval, opt_infinity
 from repro.instances import (
     random_active_time_instance,
     random_flexible_instance,
     random_interval_instance,
+)
+
+from oracles import (
+    brute_force_active_time,
+    brute_force_busy_time_interval,
+    span_search_exact,
 )
 
 
@@ -70,14 +71,14 @@ def test_active_milp_scaling(benchmark, rng, n, T):
         result = benchmark(exact_active_time, inst, 3)
     except RuntimeError:
         pytest.skip("infeasible draw")
-    assert result.is_valid()
+    result.verify()
 
 
 @pytest.mark.parametrize("n", [6, 10, 14])
 def test_busy_milp_scaling(benchmark, rng, n):
     inst = random_interval_instance(n, 1.5 * n, rng=rng)
     result = benchmark(exact_busy_time_interval, inst, 3)
-    assert result.is_valid()
+    result.verify()
 
 
 @pytest.mark.parametrize("n", [6, 10])

@@ -70,4 +70,4 @@ def test_fig10_pipeline_runtime(benchmark, g):
         starts=gad.witness["adversarial_starts"],
         algorithm="chain_peeling",
     )
-    assert s.is_valid()
+    s.verify()

@@ -48,4 +48,4 @@ def test_fig1_algorithm_runtime(benchmark, name):
     gad = figure1()
     fn = ALGORITHMS[name]
     schedule = benchmark(fn, gad.instance, gad.g)
-    assert schedule.is_valid()
+    schedule.verify()

@@ -72,4 +72,4 @@ def test_fig6_pipeline_runtime(benchmark, g):
         g,
         starts=gad.witness["adversarial_starts"],
     )
-    assert s.is_valid()
+    s.verify()

@@ -18,9 +18,10 @@ from repro.busytime import (
 from repro.instances import (
     random_clique_instance,
     random_interval_instance,
-    random_laminar_instance,
     random_proper_instance,
 )
+
+from oracles import random_laminar_instance
 
 ALGOS = {
     "first_fit(4x)": (first_fit, 4.0),
@@ -80,4 +81,4 @@ def test_algorithm_runtime_uniform_family(benchmark, rng, algo_name):
     inst = random_interval_instance(40, 60.0, rng=rng)
     fn, _ = ALGOS[algo_name]
     s = benchmark(fn, inst, 3)
-    assert s.is_valid()
+    s.verify()

@@ -9,7 +9,7 @@ and benchmark the full pipeline runtime.
 import pytest
 
 from repro.activetime import exact_active_time, round_active_time
-from repro.analysis import collect_ratios, summarize
+from repro.analysis import RatioSample, summarize
 from repro.instances import (
     random_active_time_instance,
     tight_window_instance,
@@ -31,7 +31,9 @@ def test_rounding_ratio_random_families(rng, emit):
             if n <= 12:
                 opt = exact_active_time(inst, g).cost
                 vs_opt.append((sol.cost, opt))
-        lp_summary = summarize(collect_ratios(f"n={n},g={g}", vs_lp))
+        lp_summary = summarize(
+            [RatioSample(f"n={n},g={g}", c, lp) for c, lp in vs_lp]
+        )
         assert lp_summary.worst <= 2.0 + 1e-9
         rows.append(
             [f"n={n}, T={T}, g={g}", lp_summary.mean, lp_summary.worst, 2.0]
@@ -66,4 +68,4 @@ def test_rounding_runtime(benchmark, rng, n, T):
         result = benchmark(round_active_time, inst, 3)
     except RuntimeError:
         pytest.skip("random instance infeasible at g=3")
-    assert result.schedule.is_valid()
+    result.schedule.verify()

@@ -65,7 +65,7 @@ def test_minimal_feasible_runtime(benchmark, g):
     schedule = benchmark(
         minimal_feasible_schedule, gad.instance, g, order="inside_out"
     )
-    assert schedule.is_valid()
+    schedule.verify()
 
 
 @pytest.mark.parametrize(

@@ -102,11 +102,11 @@ def test_preemption_value(rng, emit):
 def test_preemptive_greedy_runtime(benchmark, rng, n):
     inst = random_flexible_instance(n, n + 8, rng=rng)
     s = benchmark(greedy_unbounded_preemptive, inst)
-    assert s.is_valid()
+    s.verify()
 
 
 @pytest.mark.parametrize("g", [2, 4])
 def test_preemptive_bounded_runtime(benchmark, rng, g):
     inst = random_flexible_instance(20, 28, rng=rng)
     s = benchmark(preemptive_bounded, inst, g)
-    assert s.is_valid()
+    s.verify()

@@ -57,7 +57,7 @@ def test_rounding_scaling(benchmark, rng, n):
         sol = benchmark(round_active_time, inst, 3)
     except RuntimeError:
         pytest.skip("instance infeasible at g=3")
-    assert sol.schedule.is_valid()
+    sol.schedule.verify()
 
 
 @pytest.mark.parametrize("n", ACTIVE_SIZES)
@@ -67,14 +67,14 @@ def test_minimal_feasible_scaling(benchmark, rng, n):
         s = benchmark(minimal_feasible_schedule, inst, 3)
     except ValueError:
         pytest.skip("instance infeasible at g=3")
-    assert s.is_valid()
+    s.verify()
 
 
 @pytest.mark.parametrize("n", [25, 100])
 def test_preemptive_scaling(benchmark, rng, n):
     inst = random_flexible_instance(n, n + 10, rng=rng)
     s = benchmark(greedy_unbounded_preemptive, inst)
-    assert s.is_valid()
+    s.verify()
 
 
 DOUBLING = [100, 200, 400, 800]

@@ -1,25 +1,20 @@
-"""Exact active-time optima: MILP for real work, brute force for cross-checks.
+"""Exact active-time optima via the MILP.
 
 The paper conjectures the active-time problem is NP-hard; no polynomial exact
 algorithm is known for general lengths.  For measuring approximation ratios
-we therefore use the HiGHS MILP (:func:`repro.lp.milp.solve_active_time_exact`)
-and, on tiny instances, an independent brute force that enumerates slot
-subsets in increasing size — the two must agree, which the test-suite checks.
+we therefore use the HiGHS MILP (:func:`repro.lp.milp.solve_active_time_exact`);
+the tests check it against an independent brute force over slot subsets.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from ..core.jobs import Instance
 from ..core.validation import require_capacity, require_integral
-from ..flow.feasibility import ActiveTimeFeasibility
 from ..lp.milp import solve_active_time_exact
 from .schedule import ActiveTimeSchedule, schedule_from_slots
 
 __all__ = [
     "exact_active_time",
-    "brute_force_active_time",
     "lower_bound_mass",
 ]
 
@@ -37,34 +32,6 @@ def exact_active_time(
         return ActiveTimeSchedule(instance, g, tuple(), {})
     result = solve_active_time_exact(instance, g, backend=backend)
     return schedule_from_slots(instance, g, result.witness["active_slots"])
-
-
-def brute_force_active_time(
-    instance: Instance, g: int, *, max_horizon: int = 16
-) -> ActiveTimeSchedule:
-    """Optimal schedule by enumerating slot subsets (tiny instances only).
-
-    Searches subsets of ``{1..T}`` in increasing cardinality, pruned by the
-    mass lower bound ``ceil(P / g)``, and returns the first feasible one.
-    Guarded by ``max_horizon`` because the search is ``O(2^T)``.
-    """
-    require_integral(instance)
-    require_capacity(g)
-    if instance.n == 0:
-        return ActiveTimeSchedule(instance, g, tuple(), {})
-    T = instance.horizon
-    if T > max_horizon:
-        raise ValueError(
-            f"brute force limited to horizon {max_horizon}, instance has {T}"
-        )
-    oracle = ActiveTimeFeasibility(instance, g)
-    all_slots = list(range(1, T + 1))
-    lo = lower_bound_mass(instance, g)
-    for k in range(lo, T + 1):
-        for subset in itertools.combinations(all_slots, k):
-            if oracle.is_feasible(subset):
-                return schedule_from_slots(instance, g, subset, oracle=oracle)
-    raise ValueError(f"instance infeasible for g={g} even with all slots open")
 
 
 def lower_bound_mass(instance: Instance, g: int) -> int:

@@ -16,7 +16,7 @@ optimal for unit jobs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 

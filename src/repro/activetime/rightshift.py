@@ -19,7 +19,6 @@ Slot classification (Section 3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from ..solvers import SolverBackend, solve_ir
 __all__ = [
     "RightShiftedSolution",
     "right_shift",
-    "classify_slot",
     "snap",
     "SNAP_TOL",
 ]
@@ -39,25 +37,11 @@ __all__ = [
 #: tolerance of an integer (or of 1/2 in comparisons) is snapped.
 SNAP_TOL = 1e-6
 
-SlotKind = Literal["closed", "barely", "half", "full"]
-
 
 def snap(v: float) -> float:
     """Round ``v`` to the nearest integer when within :data:`SNAP_TOL`."""
     r = round(v)
     return float(r) if abs(v - r) <= SNAP_TOL else float(v)
-
-
-def classify_slot(y: float) -> SlotKind:
-    """The paper's four-way slot classification."""
-    v = snap(y)
-    if v <= 0.0:
-        return "closed"
-    if v >= 1.0:
-        return "full"
-    if v >= 0.5:
-        return "half"
-    return "barely"
 
 
 @dataclass(frozen=True)
@@ -85,12 +69,6 @@ class RightShiftedSolution:
     def objective(self) -> float:
         """Total fractional mass — unchanged from the LP optimum."""
         return float(self.y[1:].sum())
-
-    def fully_open_slots(self) -> list[int]:
-        """Slots with ``y_t = 1`` after shifting."""
-        return [
-            t for t in range(1, len(self.y)) if classify_slot(self.y[t]) == "full"
-        ]
 
     def fractional_slot_of_block(self, i: int) -> tuple[int, float] | None:
         """The (slot, value) carrying block ``i``'s fractional remainder."""

@@ -60,22 +60,6 @@ class ActiveTimeSchedule:
                 loads[t] = loads.get(t, 0) + 1
         return loads
 
-    def full_slots(self) -> list[int]:
-        """Active slots carrying exactly ``g`` units (Definition 3)."""
-        loads = self.slot_loads()
-        return sorted(t for t in self.active_slots if loads.get(t, 0) == self.g)
-
-    def non_full_slots(self) -> list[int]:
-        """Active slots carrying fewer than ``g`` units."""
-        loads = self.slot_loads()
-        return sorted(t for t in self.active_slots if loads.get(t, 0) < self.g)
-
-    def jobs_in_slot(self, t: int) -> list[int]:
-        """Ids of jobs with a unit scheduled in slot ``t``."""
-        return sorted(
-            jid for jid, slots in self.assignment.items() if t in slots
-        )
-
     # ------------------------------------------------------------------
     def verify(self) -> None:
         """Check every model constraint; raises :class:`VerificationError`.
@@ -127,14 +111,6 @@ class ActiveTimeSchedule:
                 raise VerificationError(
                     f"slot {t} hosts {load} units, capacity is {self.g}"
                 )
-
-    def is_valid(self) -> bool:
-        """Boolean wrapper around :meth:`verify`."""
-        try:
-            self.verify()
-        except VerificationError:
-            return False
-        return True
 
 
 def schedule_from_slots(

@@ -1,14 +1,8 @@
 """Measurement helpers: approximation ratios and report formatting."""
 
 from .experiments import EXPERIMENTS, Experiment, run_all, run_experiment
-from .ratios import (
-    RatioSample,
-    RatioSummary,
-    collect_ratios,
-    summarize,
-    summarize_groups,
-)
-from .report import format_series, format_table
+from .ratios import RatioSample, RatioSummary, summarize, summarize_groups
+from .report import format_table
 
 __all__ = [
     "EXPERIMENTS",
@@ -17,8 +11,6 @@ __all__ = [
     "run_experiment",
     "RatioSample",
     "RatioSummary",
-    "collect_ratios",
-    "format_series",
     "format_table",
     "summarize",
     "summarize_groups",

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "RatioSample",
     "RatioSummary",
-    "collect_ratios",
     "summarize",
     "summarize_groups",
 ]
@@ -54,19 +53,6 @@ class RatioSummary:
             f"{self.label:<28} n={self.count:<4d} "
             f"mean={self.mean:6.3f}  max={self.worst:6.3f}  min={self.best:6.3f}"
         )
-
-
-def collect_ratios(
-    label: str,
-    runs: Iterable[tuple[float, float]],
-    *,
-    meta: dict | None = None,
-) -> list[RatioSample]:
-    """Wrap raw ``(cost, baseline)`` pairs into samples."""
-    return [
-        RatioSample(label=label, cost=c, baseline=b, meta=meta or {})
-        for c, b in runs
-    ]
 
 
 def summarize_groups(samples: Sequence[RatioSample]) -> list[RatioSummary]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -26,16 +26,6 @@ def format_table(
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def format_series(
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    points: Sequence[tuple[object, object]],
-) -> str:
-    """Render an (x, y) series as a two-column table."""
-    return format_table(title, [xlabel, ylabel], [list(p) for p in points])
 
 
 def _fmt(value: object) -> str:

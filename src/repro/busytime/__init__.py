@@ -11,14 +11,10 @@ from .demand_profile import (
     compute_demand_profile,
     pad_to_multiple_of_g,
 )
-from .exact import (
-    brute_force_busy_time_interval,
-    exact_busy_time_flexible,
-    exact_busy_time_interval,
-)
+from .exact import exact_busy_time_interval
 from .firstfit import first_fit, fits_in_bundle
 from .flexible import INTERVAL_ALGORITHMS, schedule_flexible
-from .greedy_tracking import extract_tracks, greedy_tracking, proper_witness_set
+from .greedy_tracking import extract_tracks, greedy_tracking
 from .kumar_rudra import assign_levels, kumar_rudra, two_color_level
 from .preemptive import (
     PreemptivePiece,
@@ -26,9 +22,8 @@ from .preemptive import (
     greedy_unbounded_preemptive,
     preemptive_bounded,
 )
-from .span_search import earliest_fit_span, span_search_exact
 from .schedule import Bundle, BusyTimeSchedule, BusyVerificationError
-from .tracks import is_track, longest_track, track_length
+from .tracks import longest_track
 from .two_approx import chain_peeling_two_approx, extract_chain
 from .unbounded import UnboundedPlacement, opt_infinity, pin_instance
 
@@ -43,12 +38,9 @@ __all__ = [
     "UnboundedPlacement",
     "assign_levels",
     "best_lower_bound",
-    "brute_force_busy_time_interval",
     "chain_peeling_two_approx",
     "compute_demand_profile",
     "demand_profile_lower_bound",
-    "earliest_fit_span",
-    "exact_busy_time_flexible",
     "exact_busy_time_interval",
     "extract_chain",
     "extract_tracks",
@@ -56,7 +48,6 @@ __all__ = [
     "fits_in_bundle",
     "greedy_tracking",
     "greedy_unbounded_preemptive",
-    "is_track",
     "kumar_rudra",
     "longest_track",
     "mass_lower_bound",
@@ -64,10 +55,7 @@ __all__ = [
     "pad_to_multiple_of_g",
     "pin_instance",
     "preemptive_bounded",
-    "proper_witness_set",
     "schedule_flexible",
-    "span_search_exact",
     "span_lower_bound",
-    "track_length",
     "two_color_level",
 ]

@@ -18,7 +18,6 @@ segments to establish that property *without changing the profile cost*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..core.intervals import raw_demand_segments
 from ..core.jobs import Instance, Job
@@ -66,11 +65,6 @@ class DemandProfile:
         )
 
     @property
-    def max_raw(self) -> int:
-        """Peak raw demand over the horizon."""
-        return max(self.raw, default=0)
-
-    @property
     def max_demand(self) -> int:
         """Peak machine demand ``D_max``."""
         return max(self.demands, default=0)
@@ -79,14 +73,6 @@ class DemandProfile:
     def span(self) -> float:
         """Total length of demanded segments — equals ``Sp(J)``."""
         return sum(b - a for a, b in self.segments)
-
-    def level_region_span(self, level: int) -> float:
-        """Span of ``{t : D(t) >= level}`` (used by the 2-approx charging)."""
-        return sum(
-            (b - a)
-            for i, (a, b) in enumerate(self.segments)
-            if self.demand(i) >= level
-        )
 
 
 def compute_demand_profile(instance: Instance, g: int) -> DemandProfile:

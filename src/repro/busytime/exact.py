@@ -1,30 +1,18 @@
-"""Exact busy-time optima for ratio measurement and cross-checks.
+"""Exact busy-time optima for ratio measurement.
 
 Busy time for interval jobs is NP-hard already at ``g = 2`` [14], so exact
-values come from the HiGHS MILPs (:mod:`repro.lp.milp`) and, independently,
-from a brute-force set-partition search on tiny instances — the test-suite
-requires the two to agree.
+values come from the HiGHS MILP (:mod:`repro.lp.milp`); the tests check it
+against an independent set-partition search on tiny instances.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ..core.intervals import coverage_counts
-from ..core.jobs import Instance, Job
+from ..core.jobs import Instance
 from ..core.validation import require_capacity, require_interval_jobs
-from ..lp.milp import (
-    solve_busy_time_flexible_exact,
-    solve_busy_time_interval_exact,
-)
-from .schedule import Bundle, BusyTimeSchedule
-from .unbounded import pin_instance
+from ..lp.milp import solve_busy_time_interval_exact
+from .schedule import BusyTimeSchedule
 
-__all__ = [
-    "exact_busy_time_interval",
-    "exact_busy_time_flexible",
-    "brute_force_busy_time_interval",
-]
+__all__ = ["exact_busy_time_interval"]
 
 
 def exact_busy_time_interval(
@@ -44,68 +32,3 @@ def exact_busy_time_interval(
         for bundle in result.witness["bundles"]
     ]
     return BusyTimeSchedule.from_bundle_jobs(instance, g, groups)
-
-
-def exact_busy_time_flexible(instance: Instance, g: int) -> BusyTimeSchedule:
-    """Optimal busy-time schedule for integral flexible jobs (MILP; tiny n)."""
-    require_capacity(g)
-    if instance.n == 0:
-        return BusyTimeSchedule.from_bundle_jobs(instance, g, [])
-    result = solve_busy_time_flexible_exact(instance, g)
-    starts = {int(k): float(v) for k, v in result.witness["starts"].items()}
-    machines = {int(k): int(v) for k, v in result.witness["machines"].items()}
-    pinned = pin_instance(instance, starts)
-    groups: dict[int, list[Job]] = {}
-    for job in pinned.jobs:
-        groups.setdefault(machines[job.id], []).append(job)
-    schedule = BusyTimeSchedule(
-        instance=instance,
-        g=g,
-        bundles=tuple(Bundle(tuple(v)) for _, v in sorted(groups.items())),
-        starts=starts,
-    )
-    return schedule
-
-
-def _partitions(items: list[Job]) -> Iterator[list[list[Job]]]:
-    """All set partitions of ``items`` (restricted-growth enumeration)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _partitions(rest):
-        for i in range(len(partition)):
-            yield partition[:i] + [[first] + partition[i]] + partition[i + 1 :]
-        yield [[first]] + partition
-
-
-def brute_force_busy_time_interval(
-    instance: Instance, g: int, *, max_jobs: int = 9
-) -> BusyTimeSchedule:
-    """Optimal interval busy time by enumerating all bundle partitions.
-
-    Exponential (Bell numbers); guarded by ``max_jobs``.  Exists purely to
-    cross-validate the MILP.
-    """
-    require_interval_jobs(instance)
-    require_capacity(g)
-    if instance.n == 0:
-        return BusyTimeSchedule.from_bundle_jobs(instance, g, [])
-    if instance.n > max_jobs:
-        raise ValueError(
-            f"brute force limited to {max_jobs} jobs, instance has {instance.n}"
-        )
-
-    def feasible(group: list[Job]) -> bool:
-        cov = coverage_counts([j.window for j in group])
-        return all(c <= g for _, c in cov)
-
-    best: BusyTimeSchedule | None = None
-    for partition in _partitions(list(instance.jobs)):
-        if not all(feasible(group) for group in partition):
-            continue
-        candidate = BusyTimeSchedule.from_bundle_jobs(instance, g, partition)
-        if best is None or candidate.total_busy_time < best.total_busy_time:
-            best = candidate
-    assert best is not None  # singleton bundles are always feasible
-    return best

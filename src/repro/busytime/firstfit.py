@@ -18,7 +18,7 @@ from typing import Literal, Sequence
 from ..core.intervals import coverage_counts
 from ..core.jobs import Job, Instance
 from ..core.validation import require_capacity, require_interval_jobs
-from .schedule import Bundle, BusyTimeSchedule
+from .schedule import BusyTimeSchedule
 
 __all__ = ["first_fit", "fits_in_bundle", "FirstFitOrder"]
 

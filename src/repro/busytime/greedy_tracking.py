@@ -8,22 +8,18 @@ of ``g`` consecutive tracks, so at most ``g`` of its jobs overlap anywhere.
 Analysis (Theorem 5): ``Sp(B_1) <= OPT_inf`` and, for ``i > 1``,
 ``Sp(B_i) <= 2 ℓ(B_{i-1}) / g`` via the *proper witness set* ``Q_i`` — a
 subset of ``B_i`` with the same span in which at most two jobs are live at
-any time.  :func:`proper_witness_set` implements that extraction (it is pure
-analysis, but having it executable lets the tests check the structural lemma
-on every random instance).
+any time.  That extraction is pure analysis, so it lives with the tests,
+which check the structural lemma on random instances.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..core.intervals import coverage_counts, span
-from ..core.jobs import TIME_EPS, Instance, Job
+from ..core.jobs import Instance, Job
 from ..core.validation import require_capacity, require_interval_jobs
-from .schedule import Bundle, BusyTimeSchedule
+from .schedule import BusyTimeSchedule
 from .tracks import longest_track
 
-__all__ = ["greedy_tracking", "extract_tracks", "proper_witness_set"]
+__all__ = ["greedy_tracking", "extract_tracks"]
 
 
 def extract_tracks(instance: Instance) -> list[list[Job]]:
@@ -58,52 +54,3 @@ def greedy_tracking(instance: Instance, g: int) -> BusyTimeSchedule:
         groups[p].extend(track)
     return BusyTimeSchedule.from_bundle_jobs(instance, g, groups)
 
-
-def proper_witness_set(bundle_jobs: Sequence[Job]) -> list[Job]:
-    """The Theorem-5 witness ``Q_i``: same span, at most 2 jobs live anywhere.
-
-    Construction, as in the proof:
-
-    1. drop any job whose window is contained in another's (leaving a
-       *proper* set);
-    2. sweep by release time, repeatedly keeping the live job with the
-       latest deadline ("the last one") and discarding the rest.
-
-    The result ``Q`` satisfies ``Sp(Q) = Sp(B)`` and ``max overlap <= 2``;
-    both are asserted by the test-suite on random bundles.
-    """
-    jobs = list(bundle_jobs)
-    if not jobs:
-        return []
-
-    # Step 1: remove dominated (contained) windows.
-    proper: list[Job] = []
-    for j in jobs:
-        contained = any(
-            k is not j
-            and k.release <= j.release + TIME_EPS
-            and j.deadline <= k.deadline + TIME_EPS
-            and (k.window_length > j.window_length + TIME_EPS or k.id < j.id)
-            for k in jobs
-        )
-        if not contained:
-            proper.append(j)
-
-    # Step 2: sweep, keeping the live job with the latest deadline.  All
-    # remaining pool jobs have deadline beyond d_max, so "live at d_max"
-    # reduces to "released by d_max"; when coverage has a gap, jump d_max to
-    # the next release.
-    proper.sort(key=lambda j: (j.release, j.deadline, j.id))
-    chosen: list[Job] = []
-    pool = proper
-    d_max = -float("inf")
-    while pool:
-        if not any(j.release <= d_max + TIME_EPS for j in pool):
-            d_max = min(j.release for j in pool)
-        live = [j for j in pool if j.release <= d_max + TIME_EPS]
-        last = max(live, key=lambda j: (j.deadline, j.id))
-        chosen.append(last)
-        d_max = last.deadline
-        pool = [j for j in pool if j.deadline > d_max + TIME_EPS]
-    chosen.sort(key=lambda j: j.release)
-    return chosen

@@ -20,11 +20,10 @@ working on it at each instant and at most ``g`` jobs per machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from ..core.intervals import merge_intervals, span, subtract
-from ..core.jobs import TIME_EPS, Instance, Job
+from ..core.jobs import TIME_EPS, Instance
 from ..core.validation import require_capacity
 
 __all__ = [
@@ -65,12 +64,6 @@ class PreemptiveSchedule:
     def machines(self) -> list[int]:
         """Machine ids in use."""
         return sorted({p.machine for p in self.pieces})
-
-    def busy_intervals_of(self, machine: int) -> list[tuple[float, float]]:
-        """Busy periods of one machine."""
-        return merge_intervals(
-            p.interval for p in self.pieces if p.machine == machine
-        )
 
     @property
     def total_busy_time(self) -> float:
@@ -127,14 +120,6 @@ class PreemptiveSchedule:
                         f"machine {m} runs more than g={self.g} jobs at once"
                     )
 
-    def is_valid(self) -> bool:
-        """Boolean wrapper around :meth:`verify`."""
-        try:
-            self.verify()
-        except AssertionError:
-            return False
-        return True
-
 
 # ----------------------------------------------------------------------
 # Theorem 6: exact greedy for unbounded g
@@ -152,10 +137,6 @@ def greedy_unbounded_preemptive(instance: Instance) -> PreemptiveSchedule:
     remaining = {j.id: j.length for j in instance.jobs}
     opened: list[tuple[float, float]] = []  # disjoint, kept merged
     pieces: list[PreemptivePiece] = []
-
-    def available(window: tuple[float, float]) -> list[tuple[float, float]]:
-        """Parts of ``window`` not yet opened."""
-        return subtract(window, opened)
 
     while any(rem > TIME_EPS for rem in remaining.values()):
         pending = [j for j in instance.jobs if remaining[j.id] > TIME_EPS]

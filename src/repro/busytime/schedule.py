@@ -13,7 +13,7 @@ time; the bundle then holds the *pinned* interval jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..core.intervals import coverage_counts, merge_intervals, span
 from ..core.jobs import TIME_EPS, Instance, Job
@@ -93,13 +93,6 @@ class BusyTimeSchedule:
         """Number of (used) machines."""
         return len(self.bundles)
 
-    def machine_of(self, job_id: int) -> int:
-        """Index of the bundle containing ``job_id``."""
-        for k, b in enumerate(self.bundles):
-            if any(j.id == job_id for j in b.jobs):
-                return k
-        raise KeyError(f"job {job_id} not scheduled")
-
     # ------------------------------------------------------------------
     def verify(self) -> None:
         """Check all busy-time constraints; raises :class:`BusyVerificationError`.
@@ -151,14 +144,6 @@ class BusyTimeSchedule:
             raise BusyVerificationError(
                 f"jobs never scheduled: {sorted(missing)}"
             )
-
-    def is_valid(self) -> bool:
-        """Boolean wrapper around :meth:`verify`."""
-        try:
-            self.verify()
-        except BusyVerificationError:
-            return False
-        return True
 
     # ------------------------------------------------------------------
     @classmethod

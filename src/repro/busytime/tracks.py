@@ -12,25 +12,11 @@ half-open windows ``[a, b)`` and ``[b, c)`` never run simultaneously.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.jobs import TIME_EPS, Job
 
-__all__ = ["longest_track", "is_track", "track_length"]
-
-
-def is_track(jobs: Iterable[Job]) -> bool:
-    """True when the jobs' windows are pairwise disjoint (a valid track)."""
-    windows = sorted(j.window for j in jobs)
-    for (a1, b1), (a2, b2) in zip(windows, windows[1:]):
-        if a2 < b1 - TIME_EPS:
-            return False
-    return True
-
-
-def track_length(jobs: Iterable[Job]) -> float:
-    """Total processing length ``ℓ(T)`` of a track."""
-    return sum(j.length for j in jobs)
+__all__ = ["longest_track"]
 
 
 def longest_track(jobs: Sequence[Job]) -> list[Job]:

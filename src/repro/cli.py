@@ -791,7 +791,7 @@ def _parse_bytes(text: str) -> int:
     scale = {"K": 1024, "M": 1024**2, "G": 1024**3}.get(text[-1:].upper())
     try:
         value = int(float(text[:-1]) * scale) if scale else int(text)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: "infK", "1e400K"
         raise ValueError(
             f"cannot parse byte budget {text!r}; use e.g. 1048576, 512K, "
             "50M or 2G"

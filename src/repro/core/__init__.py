@@ -4,8 +4,6 @@ from .jobs import TIME_EPS, Instance, Job
 from .intervals import (
     coverage_counts,
     interesting_intervals,
-    intersect,
-    intersection_length,
     length,
     merge_intervals,
     raw_demand_segments,
@@ -17,7 +15,6 @@ from .validation import (
     require_capacity,
     require_integral,
     require_interval_jobs,
-    require_nonempty,
     require_unit_jobs,
 )
 
@@ -27,8 +24,6 @@ __all__ = [
     "Job",
     "coverage_counts",
     "interesting_intervals",
-    "intersect",
-    "intersection_length",
     "length",
     "merge_intervals",
     "raw_demand_segments",
@@ -38,6 +33,5 @@ __all__ = [
     "require_capacity",
     "require_integral",
     "require_interval_jobs",
-    "require_nonempty",
     "require_unit_jobs",
 ]

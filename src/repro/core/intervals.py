@@ -20,17 +20,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
-from .jobs import TIME_EPS, Instance, Job
+from .jobs import TIME_EPS, Instance
 
 __all__ = [
     "length",
     "total_length",
     "merge_intervals",
     "span",
-    "intersect",
-    "intersection_length",
     "subtract",
-    "contains",
     "interesting_intervals",
     "raw_demand_segments",
     "coverage_counts",
@@ -72,21 +69,6 @@ def span(intervals: Iterable[Interval]) -> float:
     return sum(b - a for a, b in merge_intervals(intervals))
 
 
-def intersect(x: Interval, y: Interval) -> Interval | None:
-    """Intersection of two intervals, or ``None`` when (essentially) empty."""
-    a = max(x[0], y[0])
-    b = min(x[1], y[1])
-    if b - a <= TIME_EPS:
-        return None
-    return (a, b)
-
-
-def intersection_length(x: Interval, y: Interval) -> float:
-    """``ℓ(x ∩ y)``."""
-    iv = intersect(x, y)
-    return 0.0 if iv is None else length(iv)
-
-
 def subtract(base: Interval, pieces: Iterable[Interval]) -> list[Interval]:
     """Remove ``pieces`` from ``base``, returning the remaining sub-intervals."""
     remaining: list[Interval] = [base]
@@ -103,13 +85,6 @@ def subtract(base: Interval, pieces: Iterable[Interval]) -> list[Interval]:
                 nxt.append((hi, b))
         remaining = nxt
     return [iv for iv in remaining if length(iv) > TIME_EPS]
-
-
-def contains(outer: Interval, inner: Interval) -> bool:
-    """True when ``inner ⊆ outer`` up to tolerance."""
-    return (
-        outer[0] <= inner[0] + TIME_EPS and inner[1] <= outer[1] + TIME_EPS
-    )
 
 
 def interesting_intervals(instance: Instance) -> list[Interval]:

@@ -20,10 +20,8 @@ time is forced, so it occupies exactly ``[r_j, d_j)``.  All other jobs are
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 __all__ = ["Job", "Instance", "TIME_EPS"]
 
@@ -89,11 +87,6 @@ class Job:
     def window_length(self) -> float:
         """Length of the availability window, ``d_j - r_j``."""
         return self.deadline - self.release
-
-    @property
-    def latest_start(self) -> float:
-        """Latest feasible start time, ``d_j - p_j``."""
-        return self.deadline - self.length
 
     @property
     def slack(self) -> float:
@@ -198,11 +191,6 @@ class Instance:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_jobs(cls, jobs: Iterable[Job]) -> "Instance":
-        """Build an instance from fully-specified jobs."""
-        return cls(tuple(jobs))
-
-    @classmethod
     def from_tuples(
         cls, triples: Iterable[tuple[float, float, float]]
     ) -> "Instance":
@@ -299,53 +287,9 @@ class Instance:
             ok(j.release) and ok(j.deadline) and ok(j.length) for j in self.jobs
         )
 
-    def is_proper(self) -> bool:
-        """True when no job window strictly contains another (``proper`` instances).
-
-        Flammini et al. show greedy-by-release-time is 2-approximate on proper
-        interval instances; the paper's ``Q_i`` extraction in Theorem 5 reduces
-        each bundle to a proper subset first.
-        """
-        for a, b in itertools.combinations(self.jobs, 2):
-            if _strictly_contains(a, b) or _strictly_contains(b, a):
-                return False
-        return True
-
-    def is_clique(self) -> bool:
-        """True when some time point is contained in every job window."""
-        if not self.jobs:
-            return True
-        lo = max(j.release for j in self.jobs)
-        hi = min(j.deadline for j in self.jobs)
-        return lo < hi - TIME_EPS
-
-    def is_laminar(self) -> bool:
-        """True when any two windows are disjoint or nested (laminar family)."""
-        for a, b in itertools.combinations(self.jobs, 2):
-            if _windows_cross(a, b):
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def live_jobs_in_slot(self, t: int) -> list[Job]:
-        """Jobs live at slot ``t`` in the slotted model (Definition 1)."""
-        return [j for j in self.jobs if j.is_live_in_slot(t)]
-
-    def active_jobs_at(self, t: float) -> list[Job]:
-        """Interval jobs whose ``[r_j, d_j)`` contains time ``t`` (the set
-        ``A(t)`` of Definition 11)."""
-        return [j for j in self.jobs if j.is_live_at(t)]
-
-    def raw_demand_at(self, t: float) -> int:
-        """``|A(t)|``: number of interval jobs covering time ``t``."""
-        return len(self.active_jobs_at(t))
-
-    def demand_at(self, t: float, g: int) -> int:
-        """``D(t) = ceil(|A(t)| / g)``: machines forced busy at ``t``."""
-        return -(-self.raw_demand_at(t) // g)
-
     def job_by_id(self, job_id: int) -> Job:
         """Look up a job by id (raises ``KeyError`` when absent)."""
         for j in self.jobs:
@@ -353,31 +297,10 @@ class Instance:
                 return j
         raise KeyError(f"no job with id {job_id}")
 
-    def subset(self, ids: Iterable[int]) -> "Instance":
-        """Restrict the instance to the given job ids (order preserved)."""
-        wanted = set(ids)
-        return Instance(tuple(j for j in self.jobs if j.id in wanted))
-
     def without(self, ids: Iterable[int]) -> "Instance":
         """Drop the given job ids."""
         unwanted = set(ids)
         return Instance(tuple(j for j in self.jobs if j.id not in unwanted))
-
-    def renumbered(self) -> "Instance":
-        """Return a copy with ids reassigned to ``0..n-1`` in current order."""
-        return Instance(
-            tuple(replace(j, id=i) for i, j in enumerate(self.jobs))
-        )
-
-    def merged_with(self, other: "Instance") -> "Instance":
-        """Concatenate two instances, renumbering the second to avoid clashes."""
-        offset = 1 + max((j.id for j in self.jobs), default=-1)
-        shifted = tuple(replace(j, id=j.id + offset) for j in other.jobs)
-        return Instance(self.jobs + shifted)
-
-    def sorted_by(self, key, reverse: bool = False) -> "Instance":
-        """Return a copy with jobs reordered by ``key``."""
-        return Instance(tuple(sorted(self.jobs, key=key, reverse=reverse)))
 
     def event_points(self) -> list[float]:
         """Sorted, de-duplicated list of all releases and deadlines."""
@@ -399,25 +322,3 @@ class Instance:
             f"span=[{self.earliest_release:g},{self.latest_deadline:g}), {kind})"
         )
 
-
-def _strictly_contains(outer: Job, inner: Job) -> bool:
-    """True when ``inner``'s window is strictly inside ``outer``'s window."""
-    return (
-        outer.release <= inner.release + TIME_EPS
-        and inner.deadline <= outer.deadline + TIME_EPS
-        and (
-            outer.release < inner.release - TIME_EPS
-            or inner.deadline < outer.deadline - TIME_EPS
-        )
-    )
-
-
-def _windows_cross(a: Job, b: Job) -> bool:
-    """True when the windows overlap but neither contains the other."""
-    lo = max(a.release, b.release)
-    hi = min(a.deadline, b.deadline)
-    if lo >= hi - TIME_EPS:  # disjoint
-        return False
-    a_in_b = b.release <= a.release + TIME_EPS and a.deadline <= b.deadline + TIME_EPS
-    b_in_a = a.release <= b.release + TIME_EPS and b.deadline <= a.deadline + TIME_EPS
-    return not (a_in_b or b_in_a)

@@ -13,7 +13,6 @@ __all__ = [
     "require_capacity",
     "require_integral",
     "require_interval_jobs",
-    "require_nonempty",
     "require_unit_jobs",
 ]
 
@@ -55,10 +54,3 @@ def require_unit_jobs(instance: Instance, context: str = "") -> Instance:
         raise ValueError("expected unit-length jobs only" + where)
     return instance
 
-
-def require_nonempty(instance: Instance) -> Instance:
-    """Require at least one job (algorithms return trivial answers otherwise,
-    but several gadget constructions would silently degenerate)."""
-    if instance.n == 0:
-        raise ValueError("instance has no jobs")
-    return instance

@@ -26,13 +26,11 @@ from .registry import (
     SolverRegistry,
     SolverSpec,
     backend_task_params,
-    get_solver,
     solve,
 )
 from .results import (
     aggregate,
     aggregate_table,
-    read_results,
     write_results,
 )
 from .dispatch import ResultStream
@@ -61,10 +59,8 @@ __all__ = [
     "canonical_task",
     "default_grid",
     "execute_task",
-    "get_solver",
     "instance_digest",
     "make_task",
-    "read_results",
     "run_sweep",
     "solve",
     "task_digest",

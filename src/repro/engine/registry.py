@@ -26,7 +26,6 @@ __all__ = [
     "SolverRegistry",
     "REGISTRY",
     "backend_task_params",
-    "get_solver",
     "solve",
 ]
 
@@ -453,11 +452,6 @@ def _register_builtin(registry: SolverRegistry) -> None:
 #: The default process-wide registry with every built-in algorithm.
 REGISTRY = SolverRegistry()
 _register_builtin(REGISTRY)
-
-
-def get_solver(problem: str, name: str) -> SolverSpec:
-    """Shorthand for :meth:`SolverRegistry.get` on the default registry."""
-    return REGISTRY.get(problem, name)
 
 
 def solve(

@@ -1,17 +1,17 @@
 """Streaming JSONL result store and aggregation into report tables.
 
-``write_results`` appends one JSON object per line as results arrive;
-``read_results`` streams them back.  ``aggregate`` folds a result set
-into the existing :mod:`repro.analysis` machinery: per
-``(problem, algorithm, g)`` cell it reports counts, mean objective and
-the empirical approximation ratio against the recorded lower bound.
+``write_results`` appends one JSON object per line as results arrive.
+``aggregate`` folds a result set into the existing :mod:`repro.analysis`
+machinery: per ``(problem, algorithm, g)`` cell it reports counts, mean
+objective and the empirical approximation ratio against the recorded
+lower bound.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ..analysis.ratios import RatioSample, summarize_groups
 from ..analysis.report import format_table
@@ -19,7 +19,6 @@ from .workers import TaskResult
 
 __all__ = [
     "write_results",
-    "read_results",
     "aggregate",
     "aggregate_table",
 ]
@@ -39,15 +38,6 @@ def write_results(
             fh.write("\n")
             count += 1
     return count
-
-
-def read_results(path: str | Path) -> Iterator[TaskResult]:
-    """Stream results back out of a JSONL file."""
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield TaskResult.from_record(json.loads(line))
 
 
 def _cell_label(result: TaskResult) -> str:

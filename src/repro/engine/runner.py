@@ -195,15 +195,6 @@ class StreamStats:
         if self._open:
             _STREAMS.dec()
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "total": self.total,
-            "cache_hits": self.cache_hits,
-            "completed": self.completed,
-            "failures": self.failures,
-            "watchdog_kills": self.watchdog_kills,
-        }
-
 
 @dataclass
 class _WatchdogWorker:

@@ -168,17 +168,6 @@ class HostStats:
     probes: int = 0
     up: bool = True
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "url": self.url,
-            "window": self.window,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "retried": self.retried,
-            "probes": self.probes,
-            "up": self.up,
-        }
-
 
 class FabricStats:
     """Counters owned by one dispatcher run (all under the run's lock)."""
@@ -195,19 +184,6 @@ class FabricStats:
         #: Tasks failed locally (attempts exhausted or fabric down).
         self.gave_up = 0
         self.hosts: dict[str, HostStats] = {}
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "completed": self.completed,
-            "dedup_hits": self.dedup_hits,
-            "retried": self.retried,
-            "gave_up": self.gave_up,
-            "hosts": {
-                label: stats.as_dict()
-                for label, stats in sorted(self.hosts.items())
-            },
-        }
 
 
 class _Host:

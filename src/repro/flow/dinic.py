@@ -86,12 +86,6 @@ class Dinic:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_node(self) -> int:
-        """Append a node, returning its index."""
-        self._adj.append([])
-        self.n += 1
-        return self.n - 1
-
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Add a directed edge ``u -> v``; returns an edge handle.
 
@@ -324,8 +318,3 @@ class Dinic:
                     seen[v] = True
                     queue.append(v)
         return seen
-
-    @property
-    def num_edges(self) -> int:
-        """Number of forward edges added."""
-        return len(self._head) // 2

@@ -35,7 +35,7 @@ from ..core.jobs import Instance
 from ..core.validation import require_capacity, require_integral
 from .dinic import Dinic
 
-__all__ = ["ActiveTimeFeasibility", "is_feasible_slot_set", "extract_assignment"]
+__all__ = ["ActiveTimeFeasibility", "is_feasible_slot_set"]
 
 
 class ActiveTimeFeasibility:
@@ -235,9 +235,3 @@ def is_feasible_slot_set(
     """One-shot feasibility probe (builds the network, solves once)."""
     return ActiveTimeFeasibility(instance, g).is_feasible(active_slots)
 
-
-def extract_assignment(
-    instance: Instance, g: int, active_slots: Iterable[int]
-) -> dict[int, list[int]] | None:
-    """One-shot assignment extraction (``None`` when infeasible)."""
-    return ActiveTimeFeasibility(instance, g).assignment(active_slots)

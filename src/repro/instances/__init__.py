@@ -17,7 +17,6 @@ from .generators import (
     random_clique_instance,
     random_flexible_instance,
     random_interval_instance,
-    random_laminar_instance,
     random_proper_instance,
     random_unit_instance,
     tight_window_instance,
@@ -38,7 +37,6 @@ __all__ = [
     "random_clique_instance",
     "random_flexible_instance",
     "random_interval_instance",
-    "random_laminar_instance",
     "random_proper_instance",
     "random_unit_instance",
     "tight_window_instance",

@@ -4,7 +4,7 @@ All generators are deterministic given a :class:`numpy.random.Generator`
 seed, return :class:`repro.core.jobs.Instance` objects and cover the regimes
 the paper's analysis distinguishes: integral active-time instances, interval
 jobs, flexible jobs, unit jobs, and the structured special cases discussed in
-footnote 1 (proper instances, cliques, laminar families).
+footnote 1 (proper instances and cliques).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "random_flexible_instance",
     "random_proper_instance",
     "random_clique_instance",
-    "random_laminar_instance",
     "tight_window_instance",
 ]
 
@@ -151,37 +150,6 @@ def random_clique_instance(
         a = float(gen.uniform(0.0, mid - 0.05))
         b = float(gen.uniform(mid + 0.05, horizon))
         jobs.append(Job(release=a, deadline=b, length=b - a, id=i))
-    return Instance(tuple(jobs))
-
-
-def random_laminar_instance(
-    depth: int,
-    fanout: int,
-    *,
-    root_span: float = 64.0,
-    rng: np.random.Generator | int | None = None,
-) -> Instance:
-    """Laminar interval jobs: any two windows are nested or disjoint.
-
-    Builds a recursive hierarchy: each interval spawns ``fanout`` disjoint
-    children occupying random sub-ranges.
-    """
-    gen = _rng(rng)
-    jobs: list[Job] = []
-
-    def build(a: float, b: float, level: int) -> None:
-        jobs.append(
-            Job(release=a, deadline=b, length=b - a, id=len(jobs))
-        )
-        if level >= depth:
-            return
-        cuts = np.sort(gen.uniform(a, b, size=2 * fanout))
-        for k in range(fanout):
-            lo, hi = float(cuts[2 * k]), float(cuts[2 * k + 1])
-            if hi - lo > (b - a) * 0.02:
-                build(lo, hi, level + 1)
-
-    build(0.0, root_span, 0)
     return Instance(tuple(jobs))
 
 

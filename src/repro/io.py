@@ -14,7 +14,7 @@ import csv
 import io as _io
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from .core.jobs import Instance, Job
 
@@ -29,7 +29,6 @@ __all__ = [
     "load_instances",
     "instance_to_csv",
     "instance_from_csv",
-    "instances_to_jsonl",
     "instances_from_jsonl",
 ]
 
@@ -178,21 +177,9 @@ def instance_from_csv(text: str) -> Instance:
     return Instance(tuple(jobs))
 
 
-def instances_to_jsonl(instances: Iterable[Instance]) -> str:
-    """Serialize many instances, one compact JSON object per line.
-
-    The batch engine's natural input format: a single ``.jsonl`` file
-    can carry a whole workload.
-    """
-    lines = []
-    for instance in instances:
-        payload = json.loads(instance_to_json(instance))
-        lines.append(json.dumps(payload, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def instances_from_jsonl(text: str) -> list[Instance]:
-    """Parse the output of :func:`instances_to_jsonl`."""
+    """Parse a JSONL workload: one instance object (the
+    :func:`instance_to_payload` form) per non-blank line."""
     return [
         instance_from_json(line)
         for line in text.splitlines()

@@ -3,7 +3,6 @@
 from .milp import (
     MilpResult,
     solve_active_time_exact,
-    solve_busy_time_flexible_exact,
     solve_busy_time_interval_exact,
     solve_unbounded_span_exact,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "MilpResult",
     "build_active_time_model",
     "solve_active_time_exact",
-    "solve_busy_time_flexible_exact",
     "solve_busy_time_interval_exact",
     "solve_unbounded_span_exact",
     "solve_active_time_lp",

@@ -18,10 +18,8 @@ from the MILPs assembled here:
   replaces Khandekar et al.'s polynomial dynamic program with an exact
   pseudo-polynomial MILP producing the same optimal value (see the §4.3 row
   of README's "Paper mapping").
-* :func:`solve_busy_time_flexible_exact` — fully general (tiny instances):
-  start choice x machine assignment x busy indicators.
 
-All four require integral data; busy-time interval jobs may be real-valued
+All three require integral data; busy-time interval jobs may be real-valued
 since only interesting-interval lengths enter the objective.
 
 Every formulation is emitted as a :class:`~repro.solvers.ir.LinearProgram`
@@ -37,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from ..core.intervals import interesting_intervals
-from ..core.jobs import Instance, Job
+from ..core.jobs import Instance
 from ..core.validation import (
     require_capacity,
     require_integral,
@@ -51,7 +49,6 @@ __all__ = [
     "solve_active_time_exact",
     "solve_busy_time_interval_exact",
     "solve_unbounded_span_exact",
-    "solve_busy_time_flexible_exact",
 ]
 
 
@@ -318,112 +315,3 @@ def solve_unbounded_span_exact(
     }
     return MilpResult(float(c_vec @ z), {"starts": starts})
 
-
-# ----------------------------------------------------------------------
-# Busy time, flexible jobs (exact; tiny instances)
-# ----------------------------------------------------------------------
-def solve_busy_time_flexible_exact(
-    instance: Instance,
-    g: int,
-    *,
-    max_machines: int | None = None,
-    backend: str | SolverBackend | None = None,
-) -> MilpResult:
-    """Exact busy time for flexible jobs with bounded ``g`` (integral data).
-
-    This is the heavyweight oracle used only in tests and small-scale
-    benchmarks: variables couple start-time choice, machine assignment and
-    per-slot busy indicators, so keep ``n`` and ``T`` small (``n <= 10``,
-    ``T <= 40`` is comfortable).
-
-    Witness: ``{"starts": {job_id: start}, "machines": {job_id: machine}}``.
-    """
-    require_integral(instance, "flexible busy-time exact")
-    require_capacity(g)
-    n = instance.n
-    if n == 0:
-        return MilpResult(0.0, {"starts": {}, "machines": {}})
-    M = min(max_machines or n, n)
-    T = instance.horizon
-
-    w_col: dict[tuple[int, int, int], int] = {}  # (job_pos, start, machine)
-    col = 0
-    for k, job in enumerate(instance.jobs):
-        r, d = job.integral_window()
-        p = job.integral_length()
-        for s in range(r, d - p + 1):
-            for m in range(min(k + 1, M)):
-                w_col[(k, s, m)] = col
-                col += 1
-    u_col: dict[tuple[int, int], int] = {}
-    for m in range(M):
-        for t in range(1, T + 1):
-            u_col[(m, t)] = col
-            col += 1
-    num_vars = col
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    lb: list[float] = []
-    ub: list[float] = []
-    row = 0
-
-    # one (start, machine) per job
-    for k, job in enumerate(instance.jobs):
-        r, d = job.integral_window()
-        p = job.integral_length()
-        for s in range(r, d - p + 1):
-            for m in range(min(k + 1, M)):
-                rows.append(row)
-                cols.append(w_col[(k, s, m)])
-                vals.append(1.0)
-        lb.append(1.0)
-        ub.append(1.0)
-        row += 1
-
-    # capacity + busy:  sum_{(k,s) covering t on m} w <= g * u[m,t]
-    for m in range(M):
-        for t in range(1, T + 1):
-            touched = False
-            for k, job in enumerate(instance.jobs):
-                if m >= min(k + 1, M):
-                    continue
-                r, d = job.integral_window()
-                p = job.integral_length()
-                for s in range(max(r, t - p), min(d - p, t - 1) + 1):
-                    rows.append(row)
-                    cols.append(w_col[(k, s, m)])
-                    vals.append(1.0)
-                    touched = True
-            if not touched:
-                continue
-            rows.append(row)
-            cols.append(u_col[(m, t)])
-            vals.append(-float(g))
-            lb.append(-np.inf)
-            ub.append(0.0)
-            row += 1
-
-    a = sparse.coo_matrix((vals, (rows, cols)), shape=(row, num_vars)).tocsr()
-    c_vec = np.zeros(num_vars)
-    for (m, t), cc in u_col.items():
-        c_vec[cc] = 1.0
-
-    z = _run_milp(
-        c=c_vec,
-        a=a,
-        lb=np.asarray(lb),
-        ub=np.asarray(ub),
-        integrality=np.ones(num_vars),
-        backend=backend,
-        label=f"busy-time flexible exact (g={g})",
-    )
-    starts: dict[int, float] = {}
-    machines: dict[int, int] = {}
-    for (k, s, m), cc in w_col.items():
-        if z[cc] > 0.5:
-            jid = instance.jobs[k].id
-            starts[jid] = float(s)
-            machines[jid] = m
-    return MilpResult(float(c_vec @ z), {"starts": starts, "machines": machines})

@@ -63,39 +63,6 @@ class ActiveTimeModel:
     objective: np.ndarray
     x_index: dict[tuple[int, int], int]
 
-    @property
-    def num_y(self) -> int:
-        """Number of slot-indicator variables."""
-        return self.T
-
-    def y_column(self, t: int) -> int:
-        """Column index of ``y_t`` (slots are 1-based)."""
-        if not 1 <= t <= self.T:
-            raise IndexError(f"slot {t} outside 1..{self.T}")
-        return t - 1
-
-    def variable_bounds(
-        self, *, integral: bool = False
-    ) -> list[tuple[float, float]]:
-        """Bounds per column: ``y in [0,1]``, ``x in [0,1]``.
-
-        The ``x <= 1`` cap is implied by ``x <= y <= 1`` but keeping it
-        explicit makes the polytope bounded for the solver.  ``integral`` is
-        accepted for symmetry with the MILP path (bounds are identical).
-        """
-        return [(0.0, 1.0)] * self.num_vars
-
-    def variable_names(self) -> tuple[str, ...]:
-        """Per-column labels (``y[t]`` then ``x[j,t]``) for diagnostics."""
-        names = [f"y[{t}]" for t in range(1, self.T + 1)]
-        names.extend(
-            f"x[{jid},{t}]"
-            for (jid, t), _ in sorted(
-                self.x_index.items(), key=lambda kv: kv[1]
-            )
-        )
-        return tuple(names)
-
     def to_linear_program(self, *, integral: bool = False) -> LinearProgram:
         """Emit the backend-neutral IR for this model.
 

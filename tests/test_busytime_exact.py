@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.busytime import (
-    brute_force_busy_time_interval,
-    exact_busy_time_flexible,
-    exact_busy_time_interval,
-)
+from repro.busytime import exact_busy_time_interval
 from repro.core import Instance
 from repro.instances import random_interval_instance
+
+from oracles import brute_force_busy_time_interval, exact_busy_time_flexible
 
 
 class TestIntervalExact:

@@ -15,6 +15,8 @@ from repro.instances import (
     random_proper_instance,
 )
 
+from oracles import is_proper
+
 
 class TestFitsInBundle:
     def test_empty_bundle(self):
@@ -80,7 +82,7 @@ class TestFirstFit:
         """Footnote 1: greedy by release is 2-approximate on proper instances."""
         for _ in range(10):
             inst = random_proper_instance(8, 15.0, rng=rng)
-            assert inst.is_proper()
+            assert is_proper(inst)
             g = int(rng.integers(1, 4))
             opt = exact_busy_time_interval(inst, g).total_busy_time
             s = first_fit(inst, g, order="release")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.busytime import (
     INTERVAL_ALGORITHMS,
-    exact_busy_time_flexible,
     greedy_unbounded_preemptive,
     mass_lower_bound,
     opt_infinity,
@@ -12,6 +11,8 @@ from repro.busytime import (
 )
 from repro.core import Instance
 from repro.instances import random_flexible_instance, random_interval_instance
+
+from oracles import exact_busy_time_flexible
 
 
 class TestPipeline:

@@ -7,12 +7,11 @@ from repro.busytime import (
     exact_busy_time_interval,
     extract_tracks,
     greedy_tracking,
-    is_track,
-    proper_witness_set,
-    track_length,
 )
 from repro.core import Instance, Job, coverage_counts, span
 from repro.instances import random_interval_instance
+
+from oracles import is_proper, is_track, proper_witness_set, track_length
 
 
 class TestExtractTracks:
@@ -120,7 +119,7 @@ class TestProperWitnessSet:
             inst = random_interval_instance(8, 15.0, rng=rng)
             q = proper_witness_set(list(inst.jobs))
             sub = Instance(tuple(q))
-            assert sub.is_proper()
+            assert is_proper(sub)
 
     def test_empty(self):
         assert proper_witness_set([]) == []

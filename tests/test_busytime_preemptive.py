@@ -9,7 +9,7 @@ from repro.busytime import (
     mass_lower_bound,
     preemptive_bounded,
 )
-from repro.core import Instance
+from repro.core import Instance, merge_intervals
 from repro.instances import random_flexible_instance
 
 
@@ -128,7 +128,9 @@ class TestPreemptiveBounded:
         s = preemptive_bounded(inst, 2)
         total = 0.0
         for m in s.machines:
-            busy = s.busy_intervals_of(m)
+            busy = merge_intervals(
+                piece.interval for piece in s.pieces if piece.machine == m
+            )
             for (_, b), (a, _) in zip(busy, busy[1:]):
                 assert b < a  # disjoint, sorted, touching runs merged
             for p in s.pieces:

@@ -42,14 +42,6 @@ class TestScheduleAggregates:
         )
         assert s.num_machines == interval_instance.n
 
-    def test_machine_of(self, interval_instance):
-        groups = [[j] for j in interval_instance.jobs]
-        s = BusyTimeSchedule.from_bundle_jobs(interval_instance, 1, groups)
-        for k, j in enumerate(interval_instance.jobs):
-            assert s.machine_of(j.id) == k
-        with pytest.raises(KeyError):
-            s.machine_of(999)
-
     def test_empty_groups_dropped(self, interval_instance):
         groups = [list(interval_instance.jobs), []]
         s = BusyTimeSchedule.from_bundle_jobs(interval_instance, 5, groups)
@@ -69,7 +61,7 @@ class TestVerification:
             interval_instance, 3, [list(interval_instance.jobs)]
         )
         s.verify()
-        assert s.is_valid()
+        s.verify()
 
     def test_missing_job(self, interval_instance):
         s = BusyTimeSchedule.from_bundle_jobs(

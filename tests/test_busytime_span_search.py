@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.busytime import (
-    earliest_fit_span,
-    opt_infinity,
-    pin_instance,
-    span_search_exact,
-)
+from repro.busytime import opt_infinity, pin_instance
 from repro.core import Instance, span
 from repro.instances import random_flexible_instance
+
+from oracles import earliest_fit_span, span_search_exact
 
 
 class TestEarliestFit:

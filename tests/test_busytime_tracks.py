@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.busytime import is_track, longest_track, track_length
+from repro.busytime import longest_track
 from repro.core import Instance, Job
 from repro.instances import random_interval_instance
+
+from oracles import is_track, track_length
 
 
 class TestIsTrack:

@@ -37,7 +37,7 @@ class TestExtractChain:
             assert max((c for _, c in cov), default=0) <= 2
 
     def test_parity_classes_are_tracks(self, rng):
-        from repro.busytime import is_track
+        from oracles import is_track
 
         for _ in range(15):
             inst = random_interval_instance(12, 20.0, rng=rng)

@@ -6,15 +6,12 @@ from repro.core import (
     Instance,
     coverage_counts,
     interesting_intervals,
-    intersect,
-    intersection_length,
     length,
     merge_intervals,
     span,
     subtract,
     total_length,
 )
-from repro.core.intervals import contains
 
 
 class TestLengthAndSpan:
@@ -37,7 +34,7 @@ class TestLengthAndSpan:
     def test_span_matches_definition_10(self):
         # Sp({I, I'}) = l(I) + Sp(I') - l(I ∩ I')
         i1, i2 = (0.0, 2.0), (1.0, 4.0)
-        expected = length(i1) + length(i2) - intersection_length(i1, i2)
+        expected = length(i1) + length(i2) - length((1.0, 2.0))  # I ∩ I'
         assert span([i1, i2]) == pytest.approx(expected)
 
     def test_span_empty(self):
@@ -61,21 +58,6 @@ class TestMerge:
         assert merge_intervals([(1, 1), (2, 2)]) == []
 
 
-class TestIntersect:
-    def test_overlap(self):
-        assert intersect((0, 3), (2, 5)) == (2, 3)
-
-    def test_disjoint_returns_none(self):
-        assert intersect((0, 1), (2, 3)) is None
-
-    def test_touching_returns_none(self):
-        assert intersect((0, 1), (1, 2)) is None
-
-    def test_intersection_length(self):
-        assert intersection_length((0, 3), (2, 5)) == 1.0
-        assert intersection_length((0, 1), (5, 6)) == 0.0
-
-
 class TestSubtract:
     def test_cut_middle(self):
         assert subtract((0, 10), [(3, 5)]) == [(0, 3), (5, 10)]
@@ -91,13 +73,6 @@ class TestSubtract:
 
     def test_cut_overlapping_pieces(self):
         assert subtract((0, 10), [(1, 4), (3, 6)]) == [(0, 1), (6, 10)]
-
-
-class TestContains:
-    def test_contains(self):
-        assert contains((0, 10), (2, 5))
-        assert contains((0, 10), (0, 10))
-        assert not contains((2, 5), (0, 10))
 
 
 class TestInterestingIntervals:

@@ -8,6 +8,14 @@ import pytest
 
 from repro.core import Instance, Job
 
+from oracles import (
+    active_jobs_at,
+    is_clique,
+    is_laminar,
+    is_proper,
+    raw_demand_at,
+)
+
 
 class TestJobConstruction:
     def test_basic_fields(self):
@@ -75,9 +83,6 @@ class TestJobGeometry:
 
     def test_window_length(self):
         assert Job(1, 6, 2).window_length == 5
-
-    def test_latest_start(self):
-        assert Job(1, 6, 2).latest_start == 4
 
     def test_slack_zero_for_interval(self):
         assert Job(2, 5, 3).slack == 0
@@ -210,63 +215,37 @@ class TestInstancePredicates:
         assert not Instance.from_intervals([(0.0, 1.5)]).is_integral
 
     def test_is_clique(self, clique_instance, interval_instance):
-        assert clique_instance.is_clique()
-        assert not interval_instance.is_clique()
+        assert is_clique(clique_instance)
+        assert not is_clique(interval_instance)
 
     def test_is_proper(self):
         proper = Instance.from_intervals([(0, 2), (1, 3), (2, 4)])
-        assert proper.is_proper()
+        assert is_proper(proper)
         improper = Instance.from_intervals([(0, 5), (1, 2)])
-        assert not improper.is_proper()
+        assert not is_proper(improper)
 
     def test_is_laminar(self):
         laminar = Instance.from_intervals([(0, 10), (1, 4), (5, 9), (2, 3)])
-        assert laminar.is_laminar()
+        assert is_laminar(laminar)
         crossing = Instance.from_intervals([(0, 3), (2, 5)])
-        assert not crossing.is_laminar()
+        assert not is_laminar(crossing)
 
 
 class TestInstanceQueries:
-    def test_live_jobs_in_slot(self, tiny_instance):
-        live = tiny_instance.live_jobs_in_slot(1)
-        assert {j.id for j in live} == {0, 2}
-
     def test_active_jobs_at(self, interval_instance):
-        assert {j.id for j in interval_instance.active_jobs_at(1.2)} == {0, 1, 3}
+        assert {j.id for j in active_jobs_at(interval_instance, 1.2)} == {0, 1, 3}
 
-    def test_raw_demand_and_demand(self, interval_instance):
-        assert interval_instance.raw_demand_at(1.2) == 3
-        assert interval_instance.demand_at(1.2, 2) == 2
-        assert interval_instance.demand_at(1.2, 3) == 1
+    def test_raw_demand_at(self, interval_instance):
+        assert raw_demand_at(interval_instance, 1.2) == 3
 
     def test_job_by_id(self, tiny_instance):
         assert tiny_instance.job_by_id(1).length == 3
         with pytest.raises(KeyError):
             tiny_instance.job_by_id(99)
 
-    def test_subset_without(self, tiny_instance):
-        sub = tiny_instance.subset([0, 2])
-        assert {j.id for j in sub} == {0, 2}
+    def test_without(self, tiny_instance):
         rest = tiny_instance.without([0, 2])
         assert {j.id for j in rest} == {1}
-
-    def test_sorted_by_returns_a_reordered_copy(self, tiny_instance):
-        by_length = tiny_instance.sorted_by(lambda j: j.length)
-        assert [j.id for j in by_length.jobs] == [2, 0, 1]
-        longest_first = tiny_instance.sorted_by(
-            lambda j: j.length, reverse=True
-        )
-        assert [j.id for j in longest_first.jobs] == [1, 0, 2]
-        assert [j.id for j in tiny_instance.jobs] == [0, 1, 2]
-
-    def test_renumbered(self, tiny_instance):
-        sub = tiny_instance.subset([1, 2]).renumbered()
-        assert [j.id for j in sub.jobs] == [0, 1]
-
-    def test_merged_with_avoids_id_clash(self, tiny_instance):
-        merged = tiny_instance.merged_with(tiny_instance)
-        assert merged.n == 6
-        assert len({j.id for j in merged.jobs}) == 6
 
     def test_event_points(self, tiny_instance):
         assert tiny_instance.event_points() == [0, 1, 4, 5, 6]

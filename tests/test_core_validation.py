@@ -7,7 +7,6 @@ from repro.core import (
     require_capacity,
     require_integral,
     require_interval_jobs,
-    require_nonempty,
     require_unit_jobs,
 )
 
@@ -57,11 +56,3 @@ class TestRequireUnitJobs:
         with pytest.raises(ValueError, match="unit"):
             require_unit_jobs(tiny_instance)
 
-
-class TestRequireNonempty:
-    def test_accepts(self, tiny_instance):
-        assert require_nonempty(tiny_instance) is tiny_instance
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="no jobs"):
-            require_nonempty(Instance(tuple()))

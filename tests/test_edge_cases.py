@@ -57,7 +57,7 @@ class TestNumericalBoundaries:
     def test_touching_windows_share_no_time(self):
         a = Job(0, 1, 1, id=0)
         b = Job(1, 2, 1, id=1)
-        from repro.busytime import is_track
+        from oracles import is_track
 
         assert is_track([a, b])
 
@@ -78,7 +78,7 @@ class TestNumericalBoundaries:
     def test_job_length_exactly_window(self):
         j = Job(1.5, 3.5, 2.0)
         assert j.is_interval
-        assert j.latest_start == pytest.approx(1.5)
+        assert j.slack == pytest.approx(0.0)
 
 
 class TestLargeCapacity:

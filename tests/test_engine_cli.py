@@ -142,11 +142,14 @@ class TestBatchCommand:
 
     def test_jsonl_workload_file(self, tmp_path, capsys, monkeypatch,
                                  tiny_instance, interval_instance):
-        from repro.io import instances_to_jsonl
+        from repro.io import instance_to_payload
 
         monkeypatch.chdir(tmp_path)
         work = tmp_path / "work.jsonl"
-        work.write_text(instances_to_jsonl([tiny_instance, interval_instance]))
+        work.write_text("".join(
+            json.dumps(instance_to_payload(inst)) + "\n"
+            for inst in (tiny_instance, interval_instance)
+        ))
         assert main([
             "batch", str(work), "--problem", "busy", "--g", "2", "--no-cache",
         ]) == 0
@@ -270,11 +273,18 @@ class TestCacheCommand:
         assert main(["cache"]) == 0
         assert "no cache directory" in capsys.readouterr().out
 
-    def test_bad_budget_errors(self, tmp_path, capsys, monkeypatch):
+    # "infK" and "1e400K" scale to an infinite float, which int() rejects
+    # with OverflowError rather than ValueError.
+    @pytest.mark.parametrize("budget", ["10Q", "infK", "1e400K"])
+    def test_bad_budget_errors(self, budget, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / ".repro-cache").mkdir()
-        assert main(["cache", "--prune", "--budget", "10Q"]) == 1
-        assert "byte budget" in capsys.readouterr().err
+        assert main(["cache", "--prune", "--budget", budget]) == 1
+        assert "cannot parse byte budget" in capsys.readouterr().err
+
+    def test_bad_serve_disk_budget_errors_before_binding(self, capsys):
+        assert main(["serve", "--port", "0", "--disk-budget", "1e400K"]) == 1
+        assert "cannot parse byte budget" in capsys.readouterr().err
 
     def test_negative_budget_rejected(self, tmp_path, capsys, monkeypatch):
         # a typo'd negative budget must not silently empty the store

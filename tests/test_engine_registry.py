@@ -1,5 +1,7 @@
 """Tests for the solver registry (repro.engine.registry)."""
 
+import json
+
 import pytest
 
 from repro.busytime import INTERVAL_ALGORITHMS
@@ -9,8 +11,6 @@ from repro.engine import (
     SolveOutcome,
     SolverRegistry,
     SolverSpec,
-    get_solver,
-    read_results,
     solve,
 )
 from repro.engine.registry import (
@@ -69,7 +69,8 @@ class TestDefaultAlgorithm:
         save_instance(tiny_instance, "inst.json")
         assert main(["batch", "inst.json", "--problem", problem, "--g", "2",
                      "--no-cache", "--out", "out.jsonl"]) == 0
-        assert [r.algorithm for r in read_results("out.jsonl")] == [expected]
+        (line,) = (tmp_path / "out.jsonl").read_text().splitlines()
+        assert json.loads(line)["algorithm"] == expected
 
         task = parse_task_request(task_request(tiny_instance, problem, 2))
         assert task.algorithm == expected
@@ -156,7 +157,7 @@ class TestDispatch:
 
     def test_unknown_solver_raises_with_menu(self, tiny_instance):
         with pytest.raises(KeyError, match="registered"):
-            get_solver("active", "does_not_exist")
+            REGISTRY.get("active", "does_not_exist")
 
     def test_unknown_problem_rejected_on_register(self):
         registry = SolverRegistry()

@@ -1,5 +1,6 @@
 """Tests for the batch runner, workers and sweep driver."""
 
+import json
 import multiprocessing
 import signal
 import time
@@ -18,9 +19,10 @@ from repro.engine import (
     make_task,
     run_sweep,
     write_results,
-    read_results,
     aggregate,
+    aggregate_table,
 )
+from repro.engine.dispatch import reanchor
 
 
 def _tasks(instances, problem="active", algorithm="minimal", g=2, **kw):
@@ -506,7 +508,10 @@ class TestResultsStore:
         results = BatchRunner(jobs=1).run(_tasks(small_instances))
         path = tmp_path / "r.jsonl"
         assert write_results(results, path) == len(results)
-        restored = list(read_results(path))
+        restored = [
+            TaskResult.from_record(json.loads(line))
+            for line in path.read_text().splitlines()
+        ]
         assert [r.to_record() for r in restored] == [
             r.to_record() for r in results
         ]
@@ -516,7 +521,7 @@ class TestResultsStore:
         path = tmp_path / "r.jsonl"
         write_results(results, path)
         write_results(results, path, append=True)
-        assert len(list(read_results(path))) == 2
+        assert len(path.read_text().splitlines()) == 2
 
     def test_aggregate_counts_errors_and_hits(self, small_instances):
         ok = BatchRunner(jobs=1).run(_tasks(small_instances))
@@ -526,6 +531,48 @@ class TestResultsStore:
         by_cell = {r["cell"]: r for r in rows}
         assert by_cell["active/minimal g=2"]["errors"] == 0
         assert by_cell["active/unit g=1"]["errors"] == 1
+
+    def test_aggregate_table_has_one_row_per_cell(self, small_instances):
+        results = BatchRunner(jobs=1).run(
+            _tasks(small_instances) + _tasks(small_instances, g=3)
+        )
+        lines = aggregate_table(results, "Sweep").splitlines()
+        assert lines[:2] == ["Sweep", "====="]
+        assert "mean r/LB" in lines[2]
+        body = lines[4:]
+        assert [row.split()[:2] for row in body] == [
+            ["active/minimal", "g=2"], ["active/minimal", "g=3"],
+        ]
+
+
+class TestReanchor:
+    """A reused result takes the duplicate task's position and labels."""
+
+    def test_copy_is_cached_at_the_new_position(self, small_instances):
+        tasks = _tasks(small_instances[:1])
+        (original,) = BatchRunner(jobs=1).run(tasks)
+        original.metrics["trace"] = {"spans": []}
+        twin = make_task(
+            index=7, problem="active", algorithm="minimal", g=2,
+            instance=small_instances[0], meta={"label": "twin"},
+        )
+        copy = reanchor(original, twin)
+        assert (copy.index, copy.cached) == (7, True)
+        assert copy.meta == {"label": "twin"}
+        assert copy.objective == original.objective
+        assert "trace" not in copy.metrics and "trace" in original.metrics
+        copy.metrics["x"] = 1
+        assert "x" not in original.metrics
+
+    def test_task_without_meta_keeps_the_results(self, small_instances):
+        (original,) = BatchRunner(jobs=1).run(
+            _tasks(small_instances[:1], meta={"source": "a"})
+        )
+        twin = make_task(
+            index=3, problem="active", algorithm="minimal", g=2,
+            instance=small_instances[0],
+        )
+        assert reanchor(original, twin).meta == {"source": "a"}
 
 
 class TestStructureAffinity:

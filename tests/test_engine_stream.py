@@ -414,10 +414,9 @@ class TestPerStreamStats:
             stream = runner.run_stream(tasks)
             results = list(stream)
         assert all(r.ok for r in results)
-        stats = stream.stats.as_dict()
-        assert stats["total"] == len(tasks)
-        assert stats["cache_hits"] == 0
-        assert stats["watchdog_kills"] == 0
+        assert stream.stats.total == len(tasks)
+        assert stream.stats.cache_hits == 0
+        assert stream.stats.watchdog_kills == 0
 
     def test_concurrent_streams_keep_counts_separate(self, small_instances):
         # Two streams share one runner and one cache: stream A re-runs

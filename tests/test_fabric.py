@@ -362,6 +362,14 @@ class TestPlacement:
 
 
 class TestFailureHandling:
+    @pytest.mark.parametrize(
+        ("status", "transient"),
+        [(0, True), (500, True), (503, True), (499, False), (404, False)],
+    )
+    def test_transport_failures_and_5xx_are_transient(self, status, transient):
+        """The retry decision: re-queue only what a retry could fix."""
+        assert ServeClientError("x", status=status).transient is transient
+
     def test_transient_errors_redispatch_to_surviving_host(self):
         servers = {URL_A: FakeServer(jobs=2), URL_B: FakeServer(jobs=2)}
         servers[URL_B].down = True

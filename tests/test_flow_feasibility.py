@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core import Instance
-from repro.flow import (
-    ActiveTimeFeasibility,
-    extract_assignment,
-    is_feasible_slot_set,
-)
+from repro.flow import ActiveTimeFeasibility, is_feasible_slot_set
 from repro.instances import random_active_time_instance
 
 
@@ -69,10 +65,10 @@ class TestMonotonicity:
 
 class TestAssignment:
     def test_assignment_none_when_infeasible(self, tiny_instance):
-        assert extract_assignment(tiny_instance, 2, [1]) is None
+        assert ActiveTimeFeasibility(tiny_instance, 2).assignment([1]) is None
 
     def test_assignment_structure(self, tiny_instance):
-        assignment = extract_assignment(tiny_instance, 2, range(1, 7))
+        assignment = ActiveTimeFeasibility(tiny_instance, 2).assignment(range(1, 7))
         assert assignment is not None
         for job in tiny_instance.jobs:
             slots = assignment[job.id]
@@ -85,7 +81,7 @@ class TestAssignment:
         for _ in range(10):
             inst = random_active_time_instance(8, 10, rng=rng)
             g = int(rng.integers(1, 4))
-            assignment = extract_assignment(inst, g, range(1, 11))
+            assignment = ActiveTimeFeasibility(inst, g).assignment(range(1, 11))
             if assignment is None:
                 continue
             loads = {}

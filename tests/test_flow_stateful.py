@@ -29,21 +29,23 @@ MAX_NODES = 8
 class DinicVsNetworkx(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.net = Dinic(2)  # node 0 = source, node 1 = sink
+        # node 0 = source, node 1 = sink; the rest join one by one
+        self.net = Dinic(MAX_NODES)
+        self.n = 2
         self.G = nx.DiGraph()
         self.G.add_nodes_from([0, 1])
         self.handles: list[tuple[int, int, int]] = []  # (handle, u, v)
 
     @rule()
     def add_node(self):
-        if self.net.n < MAX_NODES:
-            idx = self.net.add_node()
-            self.G.add_node(idx)
+        if self.n < MAX_NODES:
+            self.G.add_node(self.n)
+            self.n += 1
 
     @rule(data=st.data())
     def add_edge(self, data):
-        u = data.draw(st.integers(0, self.net.n - 1))
-        v = data.draw(st.integers(0, self.net.n - 1))
+        u = data.draw(st.integers(0, self.n - 1))
+        v = data.draw(st.integers(0, self.n - 1))
         if u == v:
             return
         cap = data.draw(st.integers(0, 15))
@@ -145,7 +147,7 @@ class WarmOracleVsCold(RuleBasedStateMachine):
         assert warm == fresh.max_flow_value(self.slots, jobs=jobs)
         assert warm == networkx_value(self.instance, self.g, self.slots, jobs)
 
-        prefix = self.instance.subset(jobs)
+        prefix = Instance(tuple(j for j in self.instance.jobs if j.id in jobs))
         assignment = self.oracle.assignment(self.slots, jobs=jobs)
         assert (assignment is not None) == (warm == prefix.total_length)
         if assignment is not None:

@@ -8,11 +8,12 @@ from repro.instances import (
     random_clique_instance,
     random_flexible_instance,
     random_interval_instance,
-    random_laminar_instance,
     random_proper_instance,
     random_unit_instance,
     tight_window_instance,
 )
+
+from oracles import is_clique, is_laminar, is_proper, random_laminar_instance
 
 
 class TestDeterminism:
@@ -66,17 +67,17 @@ class TestShapes:
     def test_proper(self, rng):
         inst = random_proper_instance(12, 20.0, rng=rng)
         assert inst.all_interval
-        assert inst.is_proper()
+        assert is_proper(inst)
 
     def test_clique(self, rng):
         inst = random_clique_instance(12, 20.0, rng=rng)
         assert inst.all_interval
-        assert inst.is_clique()
+        assert is_clique(inst)
 
     def test_laminar(self, rng):
         inst = random_laminar_instance(3, 2, rng=rng)
         assert inst.all_interval
-        assert inst.is_laminar()
+        assert is_laminar(inst)
 
     def test_tight_window(self, rng):
         inst = tight_window_instance(10, 3, rng=rng)

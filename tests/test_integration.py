@@ -134,7 +134,7 @@ class TestProfileConsistency:
             inst = random_interval_instance(8, 14.0, rng=rng)
             profile = compute_demand_profile(inst, 2)
             cov = coverage_counts([j.window for j in inst.jobs])
-            assert profile.max_raw == max(c for _, c in cov)
+            assert max(profile.raw) == max(c for _, c in cov)
 
     def test_one_machine_per_demand_unit_suffices(self, rng):
         """Scheduling each demand level's worth on enough machines is enough:

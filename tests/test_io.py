@@ -1,5 +1,7 @@
 """Tests for instance serialization (repro.io)."""
 
+import json
+
 import pytest
 
 from repro.core import Instance, Job
@@ -8,9 +10,15 @@ from repro.io import (
     instance_from_json,
     instance_to_csv,
     instance_to_json,
+    instance_to_payload,
     load_instance,
     save_instance,
 )
+
+
+def _jsonl(instances) -> str:
+    """A JSONL workload: one compact instance object per line."""
+    return "".join(json.dumps(instance_to_payload(i)) + "\n" for i in instances)
 
 
 class TestJson:
@@ -161,24 +169,23 @@ class TestFiles:
 
 class TestJsonl:
     def test_roundtrip(self, tiny_instance, interval_instance):
-        from repro.io import instances_from_jsonl, instances_to_jsonl
+        from repro.io import instances_from_jsonl
 
-        text = instances_to_jsonl([tiny_instance, interval_instance])
+        text = _jsonl([tiny_instance, interval_instance])
         assert instances_from_jsonl(text) == [tiny_instance, interval_instance]
 
     def test_empty(self):
-        from repro.io import instances_from_jsonl, instances_to_jsonl
+        from repro.io import instances_from_jsonl
 
-        assert instances_to_jsonl([]) == ""
         assert instances_from_jsonl("") == []
 
     def test_load_instances_dispatches_by_extension(
         self, tiny_instance, interval_instance, tmp_path
     ):
-        from repro.io import instances_to_jsonl, load_instances
+        from repro.io import load_instances
 
         many = tmp_path / "work.jsonl"
-        many.write_text(instances_to_jsonl([tiny_instance, interval_instance]))
+        many.write_text(_jsonl([tiny_instance, interval_instance]))
         assert load_instances(many) == [tiny_instance, interval_instance]
 
         one = tmp_path / "one.json"

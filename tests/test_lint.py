@@ -7,6 +7,7 @@ self-lint (the framework must keep the repo clean, waivers included)
 and README↔registry metrics-catalog parity (REP004 in both directions).
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -15,9 +16,16 @@ import pytest
 
 from repro.lint import RULES, lint_paths
 from repro.lint.base import Finding
+from repro.lint.callgraph import (
+    called_names,
+    function_table,
+    reachable_names,
+    worker_entry_names,
+    worker_path_names,
+)
 from repro.lint.cli import main as lint_main
 from repro.lint.report import render_text
-from repro.lint.runner import LintReport
+from repro.lint.runner import LintReport, collect_files
 from repro.lint.waivers import parse_waivers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -595,6 +603,69 @@ class TestTextReport:
         assert render_text(report) == (
             "lint clean: 1 file(s), rules REP002; 1 finding(s) waived"
         )
+
+
+class TestCallGraph:
+    """The name-level call graph behind REP002, REP005 and REP006."""
+
+    SOURCE = textwrap.dedent(
+        """
+        import json
+        import threading
+
+        def a():
+            b()
+            json.dumps(1)
+
+        def b():
+            helper.c()
+
+        def c():
+            return a
+
+        def d():
+            a()
+
+        class Pool:
+            def start(self, pool):
+                threading.Thread(target=self.run).start()
+                pool.submit(d, 1)
+
+            def run(self):
+                c()
+        """
+    )
+
+    def test_called_names_are_bare_call_targets(self):
+        tree = ast.parse(self.SOURCE)
+        table = function_table([tree])
+        assert called_names(table["a"][0]) == {"b", "dumps"}
+        assert called_names(table["c"][0]) == set()  # a bare name, no call
+
+    def test_reachable_names_propagate_only_through_defined_functions(self):
+        table = function_table([ast.parse(self.SOURCE)])
+        assert reachable_names(table, ["a", "missing"]) == {"a", "b", "c"}
+        assert reachable_names(table, ["c"]) == {"c"}
+
+    def test_worker_paths_start_at_thread_targets_and_pool_submits(self):
+        tree = ast.parse(self.SOURCE)
+        assert worker_entry_names([tree]) == {"run", "d"}
+        assert worker_path_names([tree]) == {"run", "c", "d", "a", "b"}
+
+
+class TestCollectFiles:
+    def test_sorted_deduplicated_python_files_only(self, tmp_path):
+        for name in ("b.py", "a.py", "notes.txt", "sub/c.py",
+                     "__pycache__/x.py"):
+            _write(tmp_path, name, "")
+        files = list(collect_files(
+            [tmp_path, tmp_path / "a.py", tmp_path / "notes.txt"]
+        ))
+        assert files == [tmp_path / n for n in ("a.py", "b.py", "sub/c.py")]
+
+    def test_missing_path_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="does not exist"):
+            list(collect_files([tmp_path / "absent"]))
 
 
 class TestRealTree:

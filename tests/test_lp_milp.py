@@ -12,10 +12,11 @@ from repro.instances import (
 )
 from repro.lp import (
     solve_active_time_exact,
-    solve_busy_time_flexible_exact,
     solve_busy_time_interval_exact,
     solve_unbounded_span_exact,
 )
+
+from oracles import solve_busy_time_flexible_exact
 
 
 class TestActiveTimeExact:

@@ -16,7 +16,7 @@ class TestModelShape:
         model = build_active_time_model(tiny_instance, g=2)
         pairs = sum(len(j.feasible_slots()) for j in tiny_instance.jobs)
         assert model.num_vars == model.T + pairs
-        assert model.num_y == tiny_instance.horizon
+        assert model.T == tiny_instance.horizon
 
     def test_constraint_count(self, tiny_instance):
         model = build_active_time_model(tiny_instance, g=2)
@@ -34,15 +34,6 @@ class TestModelShape:
         for (jid, t) in model.x_index:
             assert tiny_instance.job_by_id(jid).is_live_in_slot(t)
 
-    def test_y_column(self, tiny_instance):
-        model = build_active_time_model(tiny_instance, g=2)
-        assert model.y_column(1) == 0
-        assert model.y_column(model.T) == model.T - 1
-        with pytest.raises(IndexError):
-            model.y_column(0)
-        with pytest.raises(IndexError):
-            model.y_column(model.T + 1)
-
 
 class TestModelSemantics:
     def test_integral_solution_satisfies_system(self, tiny_instance):
@@ -51,7 +42,7 @@ class TestModelSemantics:
         z = np.zeros(model.num_vars)
         # open all slots, schedule job 0 in {1,2}, job 1 in {2,3,4}, job 2 in {1}
         for t in range(1, model.T + 1):
-            z[model.y_column(t)] = 1.0
+            z[t - 1] = 1.0  # y_t is column t - 1
         for jid, slots in {0: [1, 2], 1: [2, 3, 4], 2: [1]}.items():
             for t in slots:
                 z[model.x_index[(jid, t)]] = 1.0
@@ -60,7 +51,7 @@ class TestModelSemantics:
     def test_overfull_slot_violates(self, tiny_instance):
         model = build_active_time_model(tiny_instance, g=1)
         z = np.zeros(model.num_vars)
-        z[model.y_column(1)] = 1.0
+        z[0] = 1.0  # y_1
         z[model.x_index[(0, 1)]] = 1.0
         z[model.x_index[(2, 1)]] = 1.0  # two jobs in slot 1 with g=1
         assert not np.all(model.a_ub @ z <= model.b_ub + 1e-9)
@@ -74,32 +65,16 @@ class TestModelSemantics:
     def test_extract_roundtrip(self, tiny_instance):
         model = build_active_time_model(tiny_instance, g=2)
         z = np.zeros(model.num_vars)
-        z[model.y_column(3)] = 0.7
+        z[2] = 0.7  # y_3
         z[model.x_index[(1, 3)]] = 0.4
         y, x = model.extract(z)
         assert y[3] == pytest.approx(0.7)
         assert x[(1, 3)] == pytest.approx(0.4)
         assert (0, 1) not in x
 
-    def test_bounds(self, tiny_instance):
-        model = build_active_time_model(tiny_instance, g=2)
-        bounds = model.variable_bounds()
-        assert len(bounds) == model.num_vars
-        assert all(b == (0.0, 1.0) for b in bounds)
-
 
 class TestLinearProgram:
     """The backend-neutral program the model emits."""
-
-    def test_variable_names_label_every_column(self, tiny_instance):
-        model = build_active_time_model(tiny_instance, g=2)
-        names = model.variable_names()
-        assert len(names) == model.num_vars
-        assert names[: model.T] == tuple(
-            f"y[{t}]" for t in range(1, model.T + 1)
-        )
-        for (jid, t), col in model.x_index.items():
-            assert names[col] == f"x[{jid},{t}]"
 
     def test_integral_marks_only_the_y_columns(self, tiny_instance):
         model = build_active_time_model(tiny_instance, g=2)

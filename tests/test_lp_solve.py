@@ -66,7 +66,8 @@ class TestSolutionStructure:
     def test_slot_load_bounded(self, tiny_instance):
         lp = solve_active_time_lp(tiny_instance, 2)
         for t in range(1, tiny_instance.horizon + 1):
-            assert lp.slot_load(t) <= 2 * lp.y[t] + 1e-6
+            load = sum(v for (_, s), v in lp.x.items() if s == t)
+            assert load <= 2 * lp.y[t] + 1e-6
 
     def test_open_slots(self, tiny_instance):
         lp = solve_active_time_lp(tiny_instance, 2)

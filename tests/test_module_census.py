@@ -1,20 +1,34 @@
-"""Module census: every ``src/repro`` module has a live importer.
+"""Census: every ``src/repro`` module, public symbol and import is live.
 
-A module is live when something a user runs reaches it: a command, an
+Code is live when something a user runs reaches it: a command, an
 example or a perfbench workload.  A benchmark or a test only measures
-the module it imports, so a module that only benchmarks and tests reach
-is dead weight.  This test parses the imports of every ``.py`` file
-under ``src/``, ``examples/`` and ``perfbench/`` and names each module
-that none of them imports.  A module does not count as its own
-importer, and neither does a package ``__init__``; the re-exports of
-``__init__`` files are followed instead, so
-``from repro.busytime import first_fit`` credits
-``repro.busytime.firstfit``.
+what it imports, so code that only benchmarks and tests reach is dead
+weight; the exact oracles and proof checkers they compare against live
+in ``tests/oracles.py`` instead.  Three checks parse every ``.py`` file
+under ``src/``, ``examples/`` and ``perfbench/`` (:data:`CONSUMER_DIRS`):
 
-Exempt: ``__main__`` modules (run, not imported),
-``repro.lint.rules.*``, which ``repro/lint/rules/__init__.py`` imports
-for their ``@register`` side effect, and the names in
-:data:`TEST_ORACLES`.
+* **Modules.**  Each module needs an importer.  A module does not count
+  as its own importer, and neither does a package ``__init__``; the
+  re-exports of ``__init__`` files are followed instead, so
+  ``from repro.busytime import first_fit`` credits
+  ``repro.busytime.firstfit``.  Exempt: ``__main__`` modules (run, not
+  imported) and ``repro.lint.rules.*``, which
+  ``repro/lint/rules/__init__.py`` imports for their ``@register`` side
+  effect.
+* **Symbols.**  Each public function, class and method defined in
+  ``src/repro`` needs a mention of its name.  A mention is a name, an
+  attribute, a keyword argument, or a string constant whose whole value
+  is the name (``perfbench/layers.py`` wraps methods and module
+  attributes by string).  Imports, ``__all__`` lists and mentions inside
+  the symbol's own definition do not count.  Exempt: dunders,
+  ``visit_*`` methods (``ast.NodeVisitor`` dispatch), the rules of
+  ``repro.lint.rules.*`` and the names in :data:`ALLOWED`, each kept on
+  purpose for the reason given.  Names are matched, not resolved, so a
+  dead method that shares its name with a live one (``verify``) passes:
+  the check fails only on sure findings.
+* **Imports.**  Each module-level import of a non-``__init__`` module
+  must be used in that module, as a name or as a whole-name string.
+  Exempt: imports marked ``# noqa: F401`` (imported for a side effect).
 """
 
 import ast
@@ -24,21 +38,51 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CONSUMER_DIRS = ("src", "examples", "perfbench")
 
-#: Modules kept only as the reference the tests compare against.
-TEST_ORACLES = {
-    # The exponential OPT_∞ search the tests check the MILP behind
-    # ``opt_infinity`` against; it moves into the tests once an exact
-    # dynamic program replaces that MILP.
-    "repro.busytime.span_search",
+#: Public symbols kept although nothing a user runs mentions them,
+#: keyed ``module:qualified.name``, each with the reason it stays.
+ALLOWED = {
+    "repro.activetime.rounding:RoundedSolution.guarantee_holds": (
+        "Theorem 2's bound (cost <= 2 LP); the result certificates on the "
+        "roadmap check it on every rounding"
+    ),
+    "repro.activetime.rightshift:RightShiftedSolution.is_feasible_fractional": (
+        "Lemma 3's check (LP2 is feasible); the rounding certificate uses it"
+    ),
+    "repro.activetime.rightshift:RightShiftedSolution.fractional_slot_of_block": (
+        "the slot carrying a block's remainder; the rounding certificate "
+        "uses it to name the slot Lemma 5 misses"
+    ),
+    "repro.flow.dinic:Dinic.min_cut_reachable": (
+        "the source side of a minimum cut: the proof an infeasible-verdict "
+        "certificate hands out"
+    ),
+    "repro.flow.dinic:Dinic.max_flow": (
+        "the cold max-flow reference the warm feasibility oracle is pinned "
+        "against"
+    ),
+    "repro.flow.dinic:Dinic.add_edge": (
+        "the per-edge reference Dinic.add_edges is pinned against"
+    ),
+    "repro.obs.trace:trace_labels": "public API that README documents",
+    "repro.obs.metrics:MetricsRegistry.enable": (
+        "public API that README documents (with disable)"
+    ),
+    "repro.obs.metrics:MetricsRegistry.disable": (
+        "public API that README documents"
+    ),
 }
 
 
-def _dotted(path: Path) -> str | None:
-    """Dotted module name of a file under ``src/``; ``None`` elsewhere."""
-    if SRC not in path.parents:
+def _dotted(path: Path, src: Path = SRC) -> str | None:
+    """Dotted module name of a file under ``src``; ``None`` elsewhere."""
+    if src not in path.parents:
         return None
-    parts = path.relative_to(SRC).with_suffix("").parts
+    parts = path.relative_to(src).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def _imports(path: Path):
@@ -48,8 +92,7 @@ def _imports(path: Path):
     anchor = (name or "").split(".")
     if path.name != "__init__.py":
         anchor.pop()
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    for node in ast.walk(tree):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, ()
@@ -91,11 +134,7 @@ def _credited(module: str, names: tuple[str, ...]) -> set[str]:
 
 
 def _exempt(module: str) -> bool:
-    return (
-        module.endswith(".__main__")
-        or module.startswith("repro.lint.rules.")
-        or module in TEST_ORACLES
-    )
+    return module.endswith(".__main__") or module.startswith("repro.lint.rules.")
 
 
 def test_every_src_module_has_a_live_importer():
@@ -122,3 +161,250 @@ def test_census_follows_reexports():
     assert _credited("repro.engine.registry", ("REGISTRY",)) == {
         "repro.engine.registry"
     }
+
+
+# ----------------------------------------------------------------------
+# Symbols
+# ----------------------------------------------------------------------
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _statements(body):
+    """Statements of a module or class body, looking into ``if``/``try``."""
+    for node in body:
+        if isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          getattr(node, "finalbody", [])):
+                yield from _statements(block)
+            for handler in getattr(node, "handlers", []):
+                yield from _statements(handler.body)
+        else:
+            yield node
+
+
+def _public_definitions(scope: ast.Module | ast.ClassDef, prefix: str = ""):
+    """Yield ``(qualified name, node)`` per function, class and method
+    that the census counts, recursing into class bodies."""
+    for node in _statements(scope.body):
+        if not isinstance(node, _DEFS):
+            continue
+        name = node.name
+        visitor = not isinstance(node, ast.ClassDef) and name.startswith("visit_")
+        if not (name.startswith("_") or visitor):  # "_" covers dunders
+            yield prefix + name, node
+        if isinstance(node, ast.ClassDef):
+            yield from _public_definitions(node, prefix + name + ".")
+
+
+def _mentions(tree: ast.Module):
+    """Yield ``(name, enclosing definitions)`` per mention in ``tree``."""
+    stack: list[ast.AST] = []
+
+    def visit(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                return
+        if isinstance(node, ast.Name):
+            yield node.id, tuple(stack)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, tuple(stack)
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, tuple(stack)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, tuple(stack)
+        opened = isinstance(node, _DEFS)
+        if opened:
+            stack.append(node)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child)
+        if opened:
+            stack.pop()
+
+    yield from visit(tree)
+
+
+def dead_symbols(src: Path, consumers) -> dict[str, str]:
+    """``module:qualified.name -> file:line`` for each public definition
+    under ``src`` whose name no file under ``consumers`` mentions outside
+    the definition itself."""
+    trees = {
+        path: _parse(path)
+        for folder in consumers
+        for path in sorted(Path(folder).rglob("*.py"))
+    }
+    where: dict[str, list[tuple[ast.AST, ...]]] = {}
+    for tree in trees.values():
+        for name, enclosing in _mentions(tree):
+            where.setdefault(name, []).append(enclosing)
+    dead = {}
+    for path, tree in trees.items():
+        module = _dotted(path, src)
+        if module is None or module.startswith("repro.lint.rules."):
+            continue
+        for qualname, node in _public_definitions(tree):
+            if not any(node not in enclosing
+                       for enclosing in where.get(node.name, ())):
+                dead[f"{module}:{qualname}"] = (
+                    f"{path.relative_to(src.parent)}:{node.lineno}"
+                )
+    return dead
+
+
+def stale_allowances(allowed, dead) -> list[str]:
+    """Allow-list entries no longer needed: the symbol is gone, or a live
+    file mentions it now."""
+    return sorted(set(allowed) - set(dead))
+
+
+def _consumers(root: Path = ROOT):
+    return [root / folder for folder in CONSUMER_DIRS]
+
+
+def test_every_public_symbol_has_a_live_mention():
+    dead = dead_symbols(SRC, _consumers())
+    unexplained = {k: v for k, v in sorted(dead.items()) if k not in ALLOWED}
+    assert not unexplained, (
+        "public symbols that no command, example or perfbench workload "
+        "mentions (delete them, move an exact oracle to tests/oracles.py, "
+        f"or allow-list them with a reason): {unexplained}"
+    )
+
+
+def test_allow_list_is_current_and_explained():
+    stale = stale_allowances(ALLOWED, dead_symbols(SRC, _consumers()))
+    assert not stale, f"allow-list entries no longer needed: {stale}"
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+# ----------------------------------------------------------------------
+# Imports
+# ----------------------------------------------------------------------
+def unused_imports(path: Path) -> list[str]:
+    """``name:line`` per module-level import of ``path`` that the module
+    never uses."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    unused = []
+    for node in _statements(tree.body):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                unused.append(f"{bound}:{node.lineno}")
+    return unused
+
+
+def test_no_unused_module_level_imports():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        for names in [unused_imports(path)]
+        if names
+    }
+    assert not found, f"unused module-level imports: {found}"
+
+
+# ----------------------------------------------------------------------
+# The census on a synthetic tree
+# ----------------------------------------------------------------------
+def _tree(tmp_path: Path, files: dict[str, str]):
+    """Write ``files`` (paths relative to ``tmp_path``); answer the
+    ``src`` root and the consumer folders."""
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return tmp_path / "src", _consumers(tmp_path)
+
+
+LIB = (
+    "def live():\n    return dead_by_itself()\n\n"
+    "def dead_by_itself():\n    return dead_by_itself()\n\n"
+    "class Box:\n"
+    "    def used(self):\n        return 1\n\n"
+    "    def unused(self):\n        return self.unused()\n\n"
+    "    def __len__(self):\n        return 0\n\n"
+    "    def visit_Name(self, node):\n        return node\n\n"
+    "def _private():\n    return 0\n"
+)
+
+
+def test_census_flags_a_seeded_dead_function(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": LIB + "\ndef seeded():\n    return 1\n",
+        "examples/use.py": "from pkg.lib import Box, live\nlive()\nBox().used()\n",
+    })
+    dead = dead_symbols(src, consumers)
+    # a mention inside the symbol's own body (recursion) does not count
+    assert set(dead) == {"pkg.lib:seeded", "pkg.lib:Box.unused"}
+    assert dead["pkg.lib:seeded"] == "src/pkg/lib.py:23"
+
+
+def test_census_credits_a_whole_name_string(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": LIB,
+        "perfbench/wrap.py": (
+            "from pkg import lib\n"
+            "patch(lib, 'live')\npatch(lib.Box, 'unused')\n"
+            "note = 'used by Box'\n"
+        ),
+    })
+    assert set(dead_symbols(src, consumers)) == {"pkg.lib:Box.used"}
+
+
+def test_census_ignores_imports_and_all(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": LIB,
+        "src/pkg/__init__.py": (
+            "from .lib import Box, live\n__all__ = ['Box', 'live', 'used']\n"
+        ),
+        "examples/use.py": "import pkg.lib\nfrom pkg.lib import live as run\n",
+    })
+    assert set(dead_symbols(src, consumers)) == {
+        "pkg.lib:live", "pkg.lib:Box", "pkg.lib:Box.used", "pkg.lib:Box.unused",
+    }
+
+
+def test_stale_allow_list_entries_fail(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": LIB,
+        "examples/use.py": "from pkg.lib import live\nlive()\n",
+    })
+    dead = dead_symbols(src, consumers)
+    allowed = {"pkg.lib:Box": "kept", "pkg.lib:Box.used": "kept"}
+    assert stale_allowances(allowed, dead) == []
+    # gone from the tree, or mentioned by a live file now
+    allowed["pkg.lib:removed"] = allowed["pkg.lib:live"] = "kept"
+    assert stale_allowances(allowed, dead) == ["pkg.lib:live", "pkg.lib:removed"]
+
+
+def test_unused_import_check(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import json\n"
+        "from typing import Callable, Sequence\n"
+        "from . import rules  # noqa: F401  (registers the rules)\n"
+        "def f(x: Sequence) -> 'Callable':\n"
+        "    return json.dumps(x)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(path) == ["os:2"]

@@ -3,7 +3,7 @@
 :func:`raw_demand_segments` counts every interesting interval's raw demand
 ``|A(I)|`` by bisecting sorted window bounds.  The reference here is the
 definition itself: split the line at every release time and deadline, drop
-pieces no longer than ε, and ask :meth:`Instance.raw_demand_at` at each
+pieces no longer than ε, and ask ``oracles.raw_demand_at`` at each
 remaining piece's midpoint.  Endpoints are drawn on a coarse grid with
 offsets in steps of ε/2, so endpoints less than ε and less than 2ε apart
 occur, as do zero-demand gaps and identical windows.
@@ -24,6 +24,8 @@ from repro.core import (
     raw_demand_segments,
 )
 
+from oracles import raw_demand_at
+
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -33,7 +35,7 @@ def reference_segments(instance: Instance) -> list[tuple[tuple[float, float], in
     out = []
     for a, b in zip(points, points[1:]):
         if b - a > TIME_EPS:
-            raw = instance.raw_demand_at(0.5 * (a + b))
+            raw = raw_demand_at(instance, 0.5 * (a + b))
             if raw > 0:
                 out.append(((a, b), raw))
     return out

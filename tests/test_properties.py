@@ -197,7 +197,8 @@ class TestBusyTimeProperties:
     @given(interval_jobs(max_n=8))
     @settings(max_examples=60, **COMMON)
     def test_chain_parity_classes_are_tracks(self, inst):
-        from repro.busytime import extract_chain, is_track
+        from repro.busytime import extract_chain
+        from oracles import is_track
 
         chain = extract_chain(list(inst.jobs))
         assert is_track(chain[0::2])
@@ -206,7 +207,7 @@ class TestBusyTimeProperties:
     @given(interval_jobs(max_n=8))
     @settings(max_examples=60, **COMMON)
     def test_witness_set_invariants(self, inst):
-        from repro.busytime import proper_witness_set
+        from oracles import proper_witness_set
         from repro.core import coverage_counts
 
         q = proper_witness_set(list(inst.jobs))

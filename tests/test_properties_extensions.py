@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import Instance, Job
 
+from oracles import is_clique, is_laminar, is_proper
+
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -42,7 +44,7 @@ def pinned_flexible(draw):
     """An integral flexible instance and a feasible start for every job."""
     inst = draw(integral_flexible())
     starts = {
-        j.id: draw(st.integers(int(j.release), int(j.latest_start)))
+        j.id: draw(st.integers(int(j.release), int(j.deadline - j.length)))
         for j in inst.jobs
     }
     return inst, starts
@@ -62,13 +64,13 @@ class TestStructureProperties:
         inside = any(
             _points(a) < _points(b) for a in inst.jobs for b in inst.jobs
         )
-        assert inst.is_proper() == (not inside)
+        assert is_proper(inst) == (not inside)
 
     @given(integral_intervals(max_t=7))
     @settings(max_examples=100, **COMMON)
     def test_clique_means_one_point_in_every_window(self, inst):
         common = set.intersection(*(_points(j) for j in inst.jobs))
-        assert inst.is_clique() == bool(common)
+        assert is_clique(inst) == bool(common)
 
     @given(integral_intervals())
     @settings(max_examples=100, **COMMON)
@@ -77,7 +79,7 @@ class TestStructureProperties:
             a <= b or b <= a or not a & b
             for a, b in itertools.combinations(map(_points, inst.jobs), 2)
         )
-        assert inst.is_laminar() == ok
+        assert is_laminar(inst) == ok
 
 
 class TestFitsInBundleProperties:
@@ -140,7 +142,8 @@ class TestSpanSearchProperties:
     @given(integral_flexible(max_n=6, max_t=9))
     @settings(max_examples=20, **COMMON)
     def test_two_exact_solvers_agree(self, inst):
-        from repro.busytime import opt_infinity, span_search_exact
+        from repro.busytime import opt_infinity
+        from oracles import span_search_exact
 
         value, starts = span_search_exact(inst)
         assert value == pytest.approx(opt_infinity(inst).busy_time, abs=1e-9)
@@ -150,7 +153,7 @@ class TestSpanSearchProperties:
     @given(integral_flexible(max_n=6, max_t=9))
     @settings(max_examples=20, **COMMON)
     def test_earliest_fit_upper_bounds(self, inst):
-        from repro.busytime import earliest_fit_span, span_search_exact
+        from oracles import earliest_fit_span, span_search_exact
 
         upper, _ = earliest_fit_span(inst)
         exact, _ = span_search_exact(inst)

@@ -8,6 +8,8 @@ swapping backends freely.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ class TestLinearProgram:
         lp = LinearProgram.build([1.0, 1.0], integrality=[1, 0])
         assert lp.is_milp
         assert lp.required_capability == "milp"
-        relaxed = lp.relaxed()
+        relaxed = replace(lp, integrality=None)
         assert not relaxed.is_milp
         assert relaxed.required_capability == "lp"
 
@@ -236,7 +238,7 @@ class TestBackendContract:
             [1.0], a_eq=[[2.0]], b_eq=[3.0], lb=[0.0], ub=[3.0],
             integrality=[1],
         )
-        assert solve_ir(lp.relaxed(), backend=backend_name).ok
+        assert solve_ir(replace(lp, integrality=None), backend=backend_name).ok
         result = solve_ir(lp, backend=backend_name)
         assert result.status == "infeasible"
         assert result.x is None and result.objective is None
@@ -488,7 +490,7 @@ class TestBackendSelection:
             solve_ir(lp, backend="reference")
             with capture_solves() as inner:
                 solve_ir(lp, backend="scipy-highs")
-            solve_ir(lp.relaxed(), backend="scipy-highs")
+            solve_ir(replace(lp, integrality=None), backend="scipy-highs")
         solve_ir(lp, backend="reference")  # outside every scope
         assert [e["backend"] for e in outer] == ["reference", "scipy-highs"]
         assert [e["backend"] for e in inner] == ["scipy-highs"]
