@@ -17,6 +17,7 @@ import gc
 import statistics
 import time
 
+from repro.busytime.unbounded import _solved_placement
 from repro.engine import BatchRunner, build_sweep_tasks, default_grid
 from repro.obs import REGISTRY, MetricsRegistry, TaskTrace, render_prometheus
 
@@ -34,6 +35,10 @@ def _workload():
 
 
 def _run_batch(tasks):
+    # The workload's 24 flexible tasks share 6 instances; without this
+    # every rerun would reuse the process's OPT_inf placements and time
+    # almost no solving.
+    _solved_placement.cache_clear()
     with BatchRunner(jobs=1) as runner:
         results = list(runner.run_stream(tasks))
     assert all(r.ok for r in results)

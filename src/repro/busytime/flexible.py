@@ -73,16 +73,12 @@ def schedule_flexible(
         return BusyTimeSchedule.from_bundle_jobs(instance, g, [])
 
     if starts is None:
-        placement = opt_infinity(instance, backend=backend)
-        chosen = placement.starts
-    else:
-        chosen = {j.id: starts[j.id] for j in instance.jobs}
-
-    pinned = pin_instance(instance, chosen)
+        starts = opt_infinity(instance, backend=backend).starts
+    pinned = pin_instance(instance, starts)  # KeyError names a missing job
     packed = INTERVAL_ALGORITHMS[algorithm](pinned, g)
     return BusyTimeSchedule(
         instance=instance,
         g=g,
         bundles=packed.bundles,
-        starts=dict(chosen),
+        starts={j.id: starts[j.id] for j in instance.jobs},
     )

@@ -32,9 +32,11 @@ from ..core.jobs import Instance
 from ..obs import REGISTRY as OBS
 
 __all__ = [
+    "canonical_jobs_json",
     "canonical_task",
     "instance_digest",
     "task_digest",
+    "task_digest_with_jobs",
     "ResultCache",
 ]
 
@@ -84,14 +86,22 @@ def canonical_task(
     }
 
 
-def _digest(payload: Any) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def instance_digest(instance: Instance) -> str:
     """Stable content hash of an instance alone."""
-    return _digest(_canonical_jobs(instance))
+    return _sha256(canonical_jobs_json(instance))
+
+
+def canonical_jobs_json(instance: Instance) -> str:
+    """The instance's canonical jobs as the JSON text digests hash."""
+    return _dumps(_canonical_jobs(instance))
 
 
 def task_digest(
@@ -102,7 +112,35 @@ def task_digest(
     params: Mapping[str, Any] | None = None,
 ) -> str:
     """Stable content hash of a full solve task."""
-    return _digest(canonical_task(instance, problem, algorithm, g, params))
+    return task_digest_with_jobs(
+        canonical_jobs_json(instance), problem, algorithm, g, params
+    )
+
+
+#: Stands in for the jobs while the rest of a canonical task serializes.
+_NO_JOBS = Instance(())
+
+
+def task_digest_with_jobs(
+    jobs: str,
+    problem: str,
+    algorithm: str,
+    g: int,
+    params: Mapping[str, Any] | None = None,
+) -> str:
+    """:func:`task_digest` of a task whose jobs are already serialized.
+
+    ``jobs`` is :func:`canonical_jobs_json` of the task's instance.  The
+    hashed text is the JSON of :func:`canonical_task`, member by member
+    in key order, with ``jobs`` spliced in, so a caller digesting many
+    tasks of one instance serializes its jobs once.
+    """
+    task = canonical_task(_NO_JOBS, problem, algorithm, g, params)
+    members = ",".join(
+        f"{_dumps(key)}:{jobs if key == 'jobs' else _dumps(value)}"
+        for key, value in sorted(task.items())
+    )
+    return _sha256("{" + members + "}")
 
 
 class ResultCache:

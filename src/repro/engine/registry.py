@@ -299,12 +299,20 @@ def _make_busy_flexible(name: str) -> Callable[..., SolveOutcome]:
         instance: Instance, g: int, backend: str | None = None
     ) -> SolveOutcome:
         from ..busytime import schedule_flexible
+        from ..solvers import resolve_backend
 
-        return _busy_outcome(
+        outcome = _busy_outcome(
             schedule_flexible(instance, g, algorithm=name, backend=backend),
             instance,
             g,
         )
+        if not instance.all_interval:
+            # OPT_inf's MILP may have been solved by an earlier task in
+            # this process, leaving no solve event to name the backend.
+            outcome.metrics["backend"] = resolve_backend(
+                backend, require={"milp"}
+            ).name
+        return outcome
 
     _solve.__name__ = f"_solve_busy_{name}"
     return _solve

@@ -48,18 +48,12 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 class _Child:
     """One labeled time series inside a family."""
 
-    __slots__ = ("_family",)
+    __slots__ = ("_family", "_registry", "_lock")
 
     def __init__(self, family: "_MetricFamily") -> None:
         self._family = family
-
-    @property
-    def _enabled(self) -> bool:
-        return self._family.registry.enabled
-
-    @property
-    def _lock(self) -> threading.Lock:
-        return self._family.lock
+        self._registry = family.registry
+        self._lock = family.lock
 
 
 class _CounterChild(_Child):
@@ -70,7 +64,7 @@ class _CounterChild(_Child):
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self._enabled:
+        if not self._registry.enabled:
             return
         if amount < 0:
             raise ValueError(f"counters only go up; got inc({amount})")
@@ -91,13 +85,13 @@ class _GaugeChild(_Child):
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        if not self._enabled:
+        if not self._registry.enabled:
             return
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self._enabled:
+        if not self._registry.enabled:
             return
         with self._lock:
             self._value += amount
@@ -122,7 +116,7 @@ class _HistogramChild(_Child):
         self._count = 0
 
     def observe(self, value: float) -> None:
-        if not self._enabled:
+        if not self._registry.enabled:
             return
         value = float(value)
         slot = bisect_left(self._family.buckets, value)

@@ -68,15 +68,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pickle
 import socket
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _REASONS
-from typing import Any, Deque, Iterator, Sequence
+from typing import Any, Callable, Deque, Iterator, Sequence
 from urllib.parse import urlsplit
 
-from ..engine import BatchRunner, ResultCache, backend_task_params, make_task
+from ..core.jobs import Instance
+from ..engine import BatchRunner, ResultCache, backend_task_params
+from ..engine.cache import canonical_jobs_json, task_digest_with_jobs
 from ..engine.registry import DEFAULT_ALGORITHM, PROBLEMS, REGISTRY
 from ..engine.runner import PRIORITY_URGENT
 from ..engine.workers import Task, TaskResult
@@ -180,6 +183,44 @@ def parse_task_request(
     ``index`` labels multi-task (batch) errors with the task's position;
     it also becomes the task's result-ordering index.
     """
+    return _parse_task(
+        payload, index, default_backend, default_timeout, _decode_instance
+    )
+
+
+def _decode_instance(raw: Any) -> tuple[Instance, str]:
+    """An instance payload decoded, with its canonical jobs JSON."""
+    instance = instance_from_payload(raw)
+    return instance, canonical_jobs_json(instance)
+
+
+def _decode_memoized(
+    raw: Any, memo: dict[bytes, tuple[Instance, str]]
+) -> tuple[Instance, str]:
+    """:func:`_decode_instance`, once per distinct payload in ``memo``.
+
+    The key is the payload's pickle, which records the type and exact
+    value of every field: ``1``, ``1.0`` and ``true`` differ, and so do
+    ``0.0`` and ``-0.0``.  It is compared, never unpickled.
+    """
+    try:
+        key = pickle.dumps(raw, pickle.HIGHEST_PROTOCOL)
+    except RecursionError:  # nested deeper than pickle goes
+        return _decode_instance(raw)
+    decoded = memo.get(key)
+    if decoded is None:
+        decoded = memo[key] = _decode_instance(raw)
+    return decoded
+
+
+def _parse_task(
+    payload: Any,
+    index: int | None,
+    default_backend: str | None,
+    default_timeout: float | None,
+    decode: Callable[[Any], tuple[Instance, str]],
+) -> Task:
+    """:func:`parse_task_request`, decoding the instance with ``decode``."""
     at = _label(index)
     if not isinstance(payload, dict):
         raise RequestError(
@@ -244,7 +285,7 @@ def parse_task_request(
             "{release, deadline, length[, id]})"
         )
     try:
-        instance = instance_from_payload(payload["instance"])
+        instance, jobs = decode(payload["instance"])
     except (ValueError, TypeError) as exc:
         # TypeError guards against payload shapes the io-level validation
         # missed: a malformed instance must answer 400, never tear down
@@ -268,14 +309,16 @@ def parse_task_request(
             f"got {timeout!r}"
         )
 
-    return make_task(
+    params = {**params, **backend_params}
+    return Task(
         index=index or 0,
         problem=problem,
         algorithm=algorithm,
         g=g,
         instance=instance,
-        params={**params, **backend_params},
-        meta=meta,
+        digest=task_digest_with_jobs(jobs, problem, algorithm, g, params),
+        params=params,
+        meta=dict(meta),
         timeout=float(timeout) if timeout is not None else None,
     )
 
@@ -594,12 +637,19 @@ class ServeApp:
         """Validate a whole ``/batch`` JSONL body into engine tasks.
 
         The entire stream is validated before anything solves: a typo on
-        line 40 must not waste 39 solves.
+        line 40 must not waste 39 solves.  Each distinct instance payload
+        is decoded and its jobs serialized once per body; nothing is kept
+        after the call.
         """
         try:
             text = body.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise RequestError(f"batch body is not UTF-8: {exc}") from None
+        memo: dict[bytes, tuple[Instance, str]] = {}
+
+        def decode(raw: Any) -> tuple[Instance, str]:
+            return _decode_memoized(raw, memo)
+
         tasks: list[Task] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -613,11 +663,12 @@ class ServeApp:
                 ) from None
             try:
                 tasks.append(
-                    parse_task_request(
+                    _parse_task(
                         payload,
-                        index=len(tasks),
-                        default_backend=self.default_backend,
-                        default_timeout=self.default_timeout,
+                        len(tasks),
+                        self.default_backend,
+                        self.default_timeout,
+                        decode,
                     )
                 )
             except RequestError as exc:

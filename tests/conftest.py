@@ -5,7 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.busytime.unbounded import _solved_placement
 from repro.core import Instance, Job
+
+
+@pytest.fixture(autouse=True)
+def _fresh_opt_infinity_memo():
+    """Every test, and every fixture set up between tests, starts with an
+    empty OPT_inf memo, whatever ran before."""
+    _solved_placement.cache_clear()
+    yield
+    _solved_placement.cache_clear()
 
 
 @pytest.fixture

@@ -40,6 +40,11 @@ class TestPipeline:
         s = schedule_flexible(inst, 2, starts=starts)
         assert s.starts == starts
 
+    def test_missing_start_names_the_job(self):
+        inst = Instance.from_tuples([(0, 4, 2), (1, 5, 3)])
+        with pytest.raises(KeyError, match="no start time supplied for job 1"):
+            schedule_flexible(inst, 2, starts={0: 0})
+
     def test_empty(self):
         s = schedule_flexible(Instance(tuple()), 2)
         assert s.total_busy_time == 0.0

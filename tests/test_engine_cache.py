@@ -1,10 +1,23 @@
 """Tests for the content-addressed result cache (repro.engine.cache)."""
 
+import hashlib
+import json
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import Instance, Job
 from repro.engine import ResultCache, instance_digest, task_digest
 from repro.engine.cache import canonical_task
+
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
 
 
 @pytest.fixture
@@ -54,6 +67,43 @@ class TestDigests:
             "params": {"backend": "x", "seed": 1},
         }
         assert canonical_task(inst, "busy", "exact", 2)["params"] == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 0.0, -0.0, 1.0, 2.5]),
+                st.sampled_from([1, 2, 1.0, 0.5]),
+            ),
+            max_size=4,
+        ),
+        problem=st.text(max_size=6),
+        g=_SCALARS,
+        params=st.dictionaries(
+            st.text(max_size=4),
+            st.one_of(
+                _SCALARS,
+                st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_digest_hashes_the_canonical_task_json(
+        self, times, problem, g, params
+    ):
+        """The digest is the SHA-256 of the canonical task's sorted JSON,
+        byte for byte, though the jobs are serialized on their own."""
+        inst = Instance(tuple(
+            Job(r, r + p, p, id=k) for k, (r, p) in enumerate(times)
+        ))
+        text = json.dumps(
+            canonical_task(inst, problem, "alg", g, params),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert task_digest(inst, problem, "alg", g, params) == (
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+        )
 
     def test_param_key_order_is_irrelevant(self, inst):
         assert task_digest(

@@ -7,6 +7,12 @@ records must agree field for field.  Only what describes one execution
 may differ: timings, the cache flag, the trace and the fabric's host
 label.  Every record goes through its JSON form first, as the HTTP
 paths' records already have.
+
+The ``flexible`` busy tasks reach the OPT_inf MILP, which each process
+solves once per instance: the first packer on an instance solves it and
+the rest reuse the placement, in whichever process (the test's own, a
+pool worker, a server) sees the instance first.  Their records, backend
+label included, must not show which.
 """
 
 import contextlib
@@ -21,9 +27,11 @@ from repro.serve import ServeClient, create_server
 
 
 def _task_list():
-    """18 tasks: active ``minimal``/``rounding`` at g in {2, 3} (the four
-    g=2 cells are infeasible), three busy packers, and four repeated
-    digests, one of them an infeasible cell's."""
+    """25 tasks: active ``minimal``/``rounding`` at g in {2, 3} (the four
+    g=2 cells are infeasible), three busy packers on two ``interval`` and
+    on two ``flexible`` instances, and five repeated digests, one of them
+    an infeasible cell's and one a flexible task's."""
+    packers = ("first_fit", "greedy_tracking", "kumar_rudra")
     tasks = build_sweep_tasks([
         SweepGrid(
             problem="active",
@@ -37,12 +45,19 @@ def _task_list():
         SweepGrid(
             problem="busy",
             generators=("interval",),
-            algorithms=("first_fit", "greedy_tracking", "kumar_rudra"),
+            algorithms=packers,
+            g_values=(2,),
+            instances_per_cell=2,
+        ),
+        SweepGrid(
+            problem="busy",
+            generators=("flexible",),
+            algorithms=packers,
             g_values=(2,),
             instances_per_cell=2,
         ),
     ])
-    for source in (tasks[0], tasks[3], tasks[8], tasks[13]):
+    for source in (tasks[0], tasks[3], tasks[8], tasks[13], tasks[17]):
         tasks.append(
             make_task(
                 index=len(tasks),
@@ -96,10 +111,21 @@ def serial(tasks):
 
 class TestPathEquivalence:
     def test_task_list_covers_failures_and_repeats(self, tasks, serial):
-        assert len(tasks) == 18
-        assert len({t.digest for t in tasks}) == 14
+        assert len(tasks) == 25
+        assert len({t.digest for t in tasks}) == 20
         assert sum(not r.ok for r in serial) == 5  # 4 cells + 1 repeat
-        assert sum(r.cached for r in serial) == 3  # failures are retried
+        assert sum(r.cached for r in serial) == 4  # failures are retried
+
+    def test_flexible_instances_are_shared_and_labelled(self, tasks, serial):
+        flexible = [
+            (t, r) for t, r in zip(tasks, serial)
+            if not t.instance.all_interval and t.problem == "busy"
+        ]
+        assert len(flexible) == 7
+        assert len({t.instance for t, _ in flexible}) == 2
+        assert {r.metrics["backend"] for _, r in flexible} == {"scipy-highs"}
+        # one solve per instance in the serial run's one process
+        assert sum(len(r.solves) for _, r in flexible if not r.cached) == 2
 
     def test_pool(self, tasks, serial):
         with BatchRunner(jobs=2) as runner:

@@ -12,13 +12,17 @@ import socket
 import threading
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import Instance
-from repro.engine import REGISTRY, ResultCache
+from repro.engine import REGISTRY, ResultCache, backend_task_params, make_task
 from repro.engine.registry import SolveOutcome, SolverSpec
+from repro.io import FORMAT_MARKER, instance_from_payload
 from repro.serve import (
     RequestError,
+    ServeApp,
     ServeClient,
     ServeClientError,
     create_server,
@@ -680,6 +684,168 @@ class TestParseTaskRequest:
     def test_batch_index_becomes_task_index(self, inst):
         task = parse_task_request(task_request(inst, "active", 2), index=7)
         assert task.index == 7
+
+
+@st.composite
+def _instance_payloads(draw):
+    """An instance payload whose numbers mix ints, floats and -0.0."""
+    jobs = []
+    for pos in range(draw(st.integers(0, 4))):
+        release = draw(st.sampled_from([0, 1, 0.0, -0.0, 1.0, 2.5]))
+        length = draw(st.sampled_from([1, 2, 1.0, 0.5]))
+        job = {
+            "release": release,
+            "deadline": release + length + draw(st.sampled_from([0, 1, 1.5])),
+            "length": length,
+        }
+        if draw(st.booleans()):
+            job["id"] = pos
+        if draw(st.booleans()):
+            job["label"] = draw(st.sampled_from(["", "a", 1, True]))
+        jobs.append(job)
+    payload = {"jobs": jobs}
+    if draw(st.booleans()):
+        payload["format"] = FORMAT_MARKER
+    return payload
+
+
+def _job_fields(instance):
+    return [
+        (j.release, type(j.release), str(j.release), j.deadline,
+         type(j.deadline), j.length, type(j.length), j.id, j.label)
+        for j in instance.jobs
+    ]
+
+
+class TestParseBatch:
+    """``/batch`` decodes each distinct instance payload once per body,
+    and every task still matches a task built on its own."""
+
+    @pytest.fixture
+    def app(self):
+        app = ServeApp(jobs=1)
+        yield app
+        app.close()
+
+    @staticmethod
+    def _body(requests):
+        return "".join(json.dumps(r) + "\n" for r in requests).encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        payloads=st.lists(_instance_payloads(), min_size=1, max_size=4),
+        picks=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from([
+                    ("busy", "greedy_tracking"),
+                    ("busy", "first_fit"),
+                    ("active", "rounding"),
+                    ("active", "minimal"),
+                ]),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_repeated_instances_give_make_task_digests(self, payloads, picks):
+        app = ServeApp(jobs=1)
+        try:
+            requests = [
+                {"instance": payloads[k % len(payloads)], "problem": problem,
+                 "algorithm": algorithm, "g": g}
+                for k, (problem, algorithm), g in picks
+            ]
+            tasks = app.parse_batch(self._body(requests))
+        finally:
+            app.close()
+        assert len(tasks) == len(requests)
+        for index, (task, request) in enumerate(zip(tasks, requests)):
+            # Through JSON, as the server sees it: -0.0 and 1.0 survive.
+            raw = json.loads(json.dumps(request["instance"]))
+            instance = instance_from_payload(raw)
+            expected = make_task(
+                index, request["problem"], request["algorithm"],
+                request["g"], instance,
+                params=backend_task_params(
+                    request["problem"], request["algorithm"], None
+                ),
+            )
+            assert task.digest == expected.digest
+            assert task.index == index
+            assert task.params == expected.params
+            assert _job_fields(task.instance) == _job_fields(instance)
+
+    def test_one_one_point_zero_and_true_never_share_an_entry(self, app):
+        def request(release):
+            job = {"release": release, "deadline": 4, "length": 2}
+            return {"instance": {"jobs": [job]}, "problem": "busy", "g": 2}
+
+        first, second = app.parse_batch(
+            self._body([request(1), request(1.0)])
+        )
+        assert type(first.instance.jobs[0].release) is int
+        assert type(second.instance.jobs[0].release) is float
+        assert first.digest != second.digest
+        with pytest.raises(RequestError) as err:
+            app.parse_batch(
+                self._body([request(1), request(1.0), request(True)])
+            )
+        assert str(err.value).startswith("line 3: ")
+        assert "field 'release' must be a number" in str(err.value)
+
+    def test_zero_and_negative_zero_keep_their_own_digests(self, app):
+        tasks = app.parse_batch(self._body([
+            {"instance": {"jobs": [{"release": zero, "deadline": 3,
+                                    "length": 2}]},
+             "problem": "busy", "g": 2}
+            for zero in (0.0, -0.0, 0.0)
+        ]))
+        assert [str(t.instance.jobs[0].release) for t in tasks] == [
+            "0.0", "-0.0", "0.0"
+        ]
+        assert tasks[0].digest == tasks[2].digest != tasks[1].digest
+
+    def test_invalid_line_repeating_a_valid_instance_names_its_line(
+        self, app, inst
+    ):
+        good = task_request(inst, "busy", 2)
+        with pytest.raises(RequestError) as err:
+            app.parse_batch(self._body([good, good, {**good, "g": 0}]))
+        assert str(err.value).startswith("line 3: task 2: 'g'")
+
+    def test_payload_without_the_plain_shape_fails_on_its_own_line(
+        self, app, inst
+    ):
+        good = task_request(inst, "busy", 2)
+        odd = {**good, "instance": {"jobs": [[0, 4, 2]]}}
+        with pytest.raises(RequestError) as err:
+            app.parse_batch(self._body([good, odd]))
+        assert str(err.value).startswith("line 2: task 1: job 0 must be")
+
+    def test_payload_too_deep_to_key_is_decoded_alone(self, app):
+        # JSON nests deeper than pickle can walk: this label parses but
+        # cannot key the memo, and must decode as it would on its own.
+        label = "[" * 600 + "]" * 600
+        line = (
+            '{"instance": {"jobs": [{"release": 0, "deadline": 4, '
+            f'"length": 2, "label": {label}}}]}}, "problem": "busy", "g": 2}}'
+        )
+        tasks = app.parse_batch(f"{line}\n{line}\n".encode())
+        assert [len(t.instance.jobs[0].label) for t in tasks] == [1200] * 2
+        assert tasks[0].digest == tasks[1].digest
+
+    def test_invalid_repeat_fails_before_anything_solves(
+        self, server, client, inst
+    ):
+        tasks_before = client.health()["tasks_served"]
+        good = task_request(inst, "busy", 2)
+        body = self._body([good, {**good, "algorithm": "nope"}])
+        status, _, raw = _post_raw(server, "/batch", body)
+        assert status == 400
+        assert json.loads(raw)["error"].startswith("line 2: ")
+        assert client.health()["tasks_served"] == tasks_before
 
 
 class TestHealthzCapacity:
