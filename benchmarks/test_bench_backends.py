@@ -19,7 +19,7 @@ import numpy as np
 from repro.instances import random_active_time_instance
 from repro.lp import solve_active_time_exact, solve_active_time_lp
 from repro.lp.model import build_active_time_model
-from repro.solvers import available_backend_names
+from repro.solvers import available_backend_names, solve_ir
 
 #: (n jobs, horizon T, capacity g) — sized for the dense reference backend.
 LP_SIZES = [(4, 6, 2), (8, 10, 3), (12, 14, 3), (16, 18, 4)]
@@ -56,13 +56,13 @@ def test_lp_latency_and_parity_across_backends(rng, emit):
         timings = {}
         objectives = {}
         for backend in backends:
-            sec, sol = _time_solve(
-                lambda b=backend: solve_active_time_lp(
-                    inst, g, model=model, backend=b
+            sec, result = _time_solve(
+                lambda b=backend: solve_ir(
+                    model.to_linear_program(), backend=b
                 )
             )
             timings[backend] = sec
-            objectives[backend] = sol.objective
+            objectives[backend] = result.objective
         spread = max(objectives.values()) - min(objectives.values())
         assert spread <= 1e-6, objectives
         rows.append(

@@ -72,22 +72,6 @@ def test_firstfit_worst_case_search(rng, emit):
     assert worst[0] <= 4.0 + 1e-9
 
 
-def test_ordering_ablation(rng, emit):
-    """Ablation: FIRSTFIT's length ordering vs release/input orderings."""
-    rows = []
-    for order in ("length", "release", "input"):
-        total = 0.0
-        for seed in range(10):
-            inst = random_interval_instance(20, 30.0, rng=rng)
-            total += first_fit(inst, 3, order=order).total_busy_time
-        rows.append([order, total / 10])
-    emit(
-        "E10 — FIRSTFIT ordering ablation (mean busy time, 10 instances)",
-        ["ordering", "mean busy time"],
-        rows,
-    )
-
-
 @pytest.mark.parametrize("n", [30, 80])
 def test_firstfit_runtime(benchmark, rng, n):
     inst = random_interval_instance(n, 1.5 * n, rng=rng)

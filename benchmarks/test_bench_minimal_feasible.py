@@ -3,13 +3,18 @@
 Paper claims: any minimal feasible solution costs <= 3 OPT (Theorem 1); the
 Figure-3 gadget admits a minimal solution of cost 3g - 2 against OPT = g, so
 the bound is asymptotically tight.  We regenerate the gadget for a sweep of
-g, verify the adversarial slot set is feasible at cost 3g - 2, and show the
-library's greedy minimizer (inside-out closing order) actually lands on it.
+g, verify the adversarial slot set is feasible and minimal at cost 3g - 2,
+show the library's greedy minimizer stops on it when started there, and
+report what its left-to-right closing finds from every slot open.
 """
 
 import pytest
 
-from repro.activetime import exact_active_time, minimal_feasible_schedule
+from repro.activetime import (
+    close_slots_greedily,
+    exact_active_time,
+    minimal_feasible_schedule,
+)
 from repro.flow import ActiveTimeFeasibility, is_feasible_slot_set
 from repro.instances import SWEEP_GENERATORS, figure3
 
@@ -25,7 +30,7 @@ def test_fig3_ratio_trend(g, emit):
     adversarial = len(slots)
     assert adversarial == 3 * g - 2
 
-    greedy = minimal_feasible_schedule(gad.instance, g, order="inside_out")
+    greedy = minimal_feasible_schedule(gad.instance, g)
     greedy.verify()
     assert greedy.cost <= 3 * exact.cost
 
@@ -35,7 +40,7 @@ def test_fig3_ratio_trend(g, emit):
         [
             ["OPT (exact MILP)", exact.cost, 1.0],
             ["paper adversarial minimal (3g-2)", adversarial, adversarial / g],
-            ["greedy minimal (inside_out)", greedy.cost, greedy.cost / g],
+            ["greedy minimal (left to right)", greedy.cost, greedy.cost / g],
             ["paper limit", "3g-2 -> 3·OPT", 3.0],
         ],
     )
@@ -52,19 +57,22 @@ def test_fig3_ratio_is_monotone_in_g():
 
 
 def test_greedy_reaches_adversarial_cost():
-    """The library's own minimizer exhibits the worst case on the gadget."""
+    """The worst case is a minimal solution: no slot of the witness can
+    close, so the library's own minimizer started there keeps all 3g - 2."""
     for g in (3, 4, 6):
         gad = figure3(g)
-        s = minimal_feasible_schedule(gad.instance, g, order="inside_out")
-        assert s.cost == 3 * g - 2
+        slots = gad.witness["adversarial_slots"]
+        oracle = ActiveTimeFeasibility(gad.instance, g)
+        assert oracle.is_feasible(slots)
+        assert not any(oracle.is_feasible(set(slots) - {t}) for t in slots)
+        assert close_slots_greedily(gad.instance, g, slots) == slots
+        assert len(slots) == 3 * g - 2
 
 
 @pytest.mark.parametrize("g", [3, 6])
 def test_minimal_feasible_runtime(benchmark, g):
     gad = figure3(g)
-    schedule = benchmark(
-        minimal_feasible_schedule, gad.instance, g, order="inside_out"
-    )
+    schedule = benchmark(minimal_feasible_schedule, gad.instance, g)
     schedule.verify()
 
 

@@ -58,19 +58,25 @@ def test_per_op_budget_is_under_3pct_of_task_floor(emit):
         )
 
     # Measured cost of one counter-inc + histogram-observe + trace-span
-    # round through a live registry (the primitives the hot path uses).
+    # round through a live registry (the primitives the hot path uses),
+    # as the best of several repeats: the same estimator as the floor,
+    # so CPU steal on a shared box inflates neither side.
     reg = MetricsRegistry()
     counter = reg.counter("bench_total", "bench", ("status",)).labels("ok")
     histogram = reg.histogram("bench_seconds", "bench")
     trace = TaskTrace(algorithm="bench")
     rounds = 20_000
-    start = time.perf_counter()
-    for _ in range(rounds):
-        counter.inc()
-        histogram.observe(0.001)
-        trace.add_span("solving", 0.001)
-    per_op_round = (time.perf_counter() - start) / rounds
-    trace.spans.clear()
+    per_op_round = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(rounds):
+            counter.inc()
+            histogram.observe(0.001)
+            trace.add_span("solving", 0.001)
+        per_op_round = min(
+            per_op_round, (time.perf_counter() - start) / rounds
+        )
+        trace.spans.clear()
 
     budget = OPS_PER_TASK / 3 * per_op_round  # OPS_PER_TASK single ops
     overhead = budget / per_task

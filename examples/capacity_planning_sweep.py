@@ -59,7 +59,7 @@ def active_time_sweep(rng: np.random.Generator) -> None:
 
 
 def busy_time_sweep(rng: np.random.Generator) -> None:
-    inst = random_flexible_instance(24, 26, max_length=5, max_slack=6, rng=rng)
+    inst = random_flexible_instance(24, 26, max_length=5, rng=rng)
     rows = []
     for g in (1, 2, 3, 4, 6, 8):
         gt = schedule_flexible(inst, g, algorithm="greedy_tracking")

@@ -50,10 +50,14 @@ def main() -> None:
     for g in (3, 4, 6, 8):
         gad = figure3(g)
         exact = exact_active_time(gad.instance, g).cost
-        adv = len(gad.witness["adversarial_slots"])
-        assert is_feasible_slot_set(
-            gad.instance, g, gad.witness["adversarial_slots"]
+        slots = gad.witness["adversarial_slots"]
+        assert is_feasible_slot_set(gad.instance, g, slots)
+        # minimal (Definition 4): closing any one slot breaks feasibility
+        assert not any(
+            is_feasible_slot_set(gad.instance, g, set(slots) - {t})
+            for t in slots
         )
+        adv = len(slots)
         rows.append([g, exact, adv, f"{adv / exact:.3f}"])
     print(
         format_table(

@@ -99,7 +99,6 @@ def round_active_time(
     instance: Instance,
     g: int,
     *,
-    lp: ActiveTimeLPSolution | None = None,
     strict: bool = False,
     backend: str | None = None,
 ) -> RoundedSolution:
@@ -107,11 +106,8 @@ def round_active_time(
 
     Parameters
     ----------
-    lp:
-        A pre-solved optimal LP solution (solved internally when omitted).
     backend:
-        LP backend name for the internal ``LP1`` solve (ignored when
-        ``lp`` is given); see :mod:`repro.solvers`.
+        LP backend name for the ``LP1`` solve; see :mod:`repro.solvers`.
     strict:
         When True, any violation of the proof's invariants (charging target
         missing, prefix infeasible after opening) raises immediately instead
@@ -125,19 +121,16 @@ def round_active_time(
     """
     require_integral(instance)
     require_capacity(g)
+    lp = solve_active_time_lp(instance, g, backend=backend)
     if instance.n == 0:
-        empty = ActiveTimeSchedule(instance, g, tuple(), {})
-        lp0 = lp or solve_active_time_lp(instance, g, backend=backend)
         return RoundedSolution(
-            schedule=empty,
-            lp=lp0,
-            shifted=right_shift(lp0),
+            schedule=ActiveTimeSchedule(instance, g, tuple(), {}),
+            lp=lp,
+            shifted=right_shift(lp),
             iterations=[],
             ledger=ChargingLedger(),
         )
 
-    if lp is None:
-        lp = solve_active_time_lp(instance, g, backend=backend)
     shifted = right_shift(lp)
     blocks = shifted.blocks
     masses = shifted.masses

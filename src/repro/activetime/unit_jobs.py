@@ -1,10 +1,10 @@
 """Exact active time for unit-length jobs (Chang–Gabow–Khuller special case).
 
 The paper recalls that unit jobs admit a fast exact algorithm [2].  We
-implement the *lazy activation* greedy: sweep slots right to left starting
+implement the *lazy activation* greedy: sweep slots left to right starting
 from the all-open solution and close every slot whose removal keeps the
-instance feasible, preferring to close **early** slots.  For unit jobs the
-resulting minimal feasible solution is minimum:
+instance feasible, so early slots close first.  For unit jobs the
+resulting minimal feasible solution is minimum.
 
 Each feasibility probe is the bipartite matching/flow of Figure 2, and the
 left-to-right closing order makes the construction equivalent to the
@@ -38,4 +38,4 @@ def unit_jobs_optimal_schedule(instance: Instance, g: int) -> ActiveTimeSchedule
     require_integral(instance)
     require_unit_jobs(instance)
     require_capacity(g)
-    return minimal_feasible_schedule(instance, g, order="left")
+    return minimal_feasible_schedule(instance, g)

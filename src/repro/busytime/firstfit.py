@@ -5,24 +5,18 @@ first (lowest-index) bundle where adding it keeps at most ``g`` jobs running
 simultaneously, opening a new bundle when none fits.  Flammini et al. prove a
 worst-case ratio of 4 and exhibit instances where FIRSTFIT pays 3x the
 optimum; GREEDYTRACKING (Theorem 5) improves the guarantee to 3.
-
-Two extra orderings are exposed because the paper's footnote 1 discusses
-them: ``"release"`` (greedy by release time — 2-approximate on *proper*
-instances) and ``"input"``.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 from ..core.intervals import coverage_counts
 from ..core.jobs import Job, Instance
 from ..core.validation import require_capacity, require_interval_jobs
 from .schedule import BusyTimeSchedule
 
-__all__ = ["first_fit", "fits_in_bundle", "FirstFitOrder"]
-
-FirstFitOrder = Literal["length", "release", "input"]
+__all__ = ["first_fit", "fits_in_bundle"]
 
 
 def fits_in_bundle(members: Sequence[Job], job: Job, g: int) -> bool:
@@ -47,35 +41,12 @@ def fits_in_bundle(members: Sequence[Job], job: Job, g: int) -> bool:
     return peak < g
 
 
-def first_fit(
-    instance: Instance, g: int, *, order: FirstFitOrder = "length"
-) -> BusyTimeSchedule:
-    """Run FIRSTFIT on an interval instance.
-
-    Parameters
-    ----------
-    order:
-        ``"length"`` — the algorithm of Flammini et al. (non-increasing
-        length, the 4-approximation); ``"release"`` — greedy by release time
-        (2-approximate on proper instances); ``"input"`` — instance order
-        (no guarantee; useful as an ablation).
-    """
+def first_fit(instance: Instance, g: int) -> BusyTimeSchedule:
+    """Run FIRSTFIT on an interval instance, longest job first."""
     require_interval_jobs(instance, "FIRSTFIT")
     require_capacity(g)
 
-    if order == "length":
-        ordered = sorted(
-            instance.jobs, key=lambda j: (-j.length, j.release, j.id)
-        )
-    elif order == "release":
-        ordered = sorted(
-            instance.jobs, key=lambda j: (j.release, -j.length, j.id)
-        )
-    elif order == "input":
-        ordered = list(instance.jobs)
-    else:
-        raise ValueError(f"unknown FIRSTFIT order {order!r}")
-
+    ordered = sorted(instance.jobs, key=lambda j: (-j.length, j.release, j.id))
     bundles: list[list[Job]] = []
     for job in ordered:
         for members in bundles:

@@ -152,11 +152,9 @@ class BusyTimeSchedule:
         instance: Instance,
         g: int,
         groups: Sequence[Sequence[Job]],
-        *,
-        starts: Mapping[int, float] | None = None,
     ) -> "BusyTimeSchedule":
-        """Build a schedule from groups of already-pinned jobs."""
+        """Build a schedule from groups of already-pinned jobs, each
+        starting at its release."""
         bundles = tuple(Bundle(tuple(group)) for group in groups if group)
-        if starts is None:
-            starts = {j.id: j.release for b in bundles for j in b.jobs}
-        return cls(instance=instance, g=g, bundles=bundles, starts=dict(starts))
+        starts = {j.id: j.release for b in bundles for j in b.jobs}
+        return cls(instance=instance, g=g, bundles=bundles, starts=starts)

@@ -393,29 +393,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "keys", nargs="*", help=f"subset of {sorted(EXPERIMENTS)} (default all)"
     )
 
-    p_lint = sub.add_parser(
+    # ``repro lint`` declares no flags here: :func:`main` hands its
+    # arguments to the lint package's own parser, so ``repro lint -h``
+    # and ``python -m repro.lint -h`` print one help.
+    sub.add_parser(
         "lint",
         help="project-specific static analysis (rules REP001-REP006)",
-    )
-    p_lint.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to scan (default: src benchmarks)",
-    )
-    p_lint.add_argument(
-        "--json", action="store_true",
-        help="emit one JSON document instead of text findings",
-    )
-    p_lint.add_argument(
-        "--rules", metavar="IDS",
-        help="comma-separated rule ids to run (default: all registered)",
-    )
-    p_lint.add_argument(
-        "--root", metavar="DIR", default=None,
-        help="project root for relative paths and the README metrics catalog",
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
+        add_help=False,
     )
 
     return parser
@@ -942,25 +926,19 @@ def _cmd_experiments(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    # Delegate to the lint package's own CLI so ``repro lint`` and
-    # ``python -m repro.lint`` stay one surface (same flags, same exits).
     from .lint.cli import main as lint_main
 
-    argv: list[str] = list(args.paths)
-    if args.json:
-        argv.append("--json")
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.root is not None:
-        argv.extend(["--root", args.root])
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
+    return lint_main(args.lint_argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        args.lint_argv = rest  # parsed by the lint package's own parser
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     handlers = {
         "active": _cmd_active,
         "busy": _cmd_busy,

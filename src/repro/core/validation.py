@@ -47,10 +47,9 @@ def require_interval_jobs(instance: Instance, context: str = "") -> Instance:
     return instance
 
 
-def require_unit_jobs(instance: Instance, context: str = "") -> Instance:
+def require_unit_jobs(instance: Instance) -> Instance:
     """Require every job to have unit length."""
     if not instance.all_unit:
-        where = f" ({context})" if context else ""
-        raise ValueError("expected unit-length jobs only" + where)
+        raise ValueError("expected unit-length jobs only")
     return instance
 

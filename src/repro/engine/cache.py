@@ -143,14 +143,17 @@ def task_digest_with_jobs(
     return _sha256("{" + members + "}")
 
 
+#: Bound on the in-memory layer; least-recently-used entries are evicted
+#: first.
+_MAXSIZE = 4096
+
+
 class ResultCache:
-    """In-memory LRU over an optional on-disk JSON store.
+    """In-memory LRU (:data:`_MAXSIZE` entries) over an optional on-disk
+    JSON store.
 
     Parameters
     ----------
-    maxsize:
-        Bound on the in-memory layer; least-recently-used entries are
-        evicted first.
     directory:
         When given, every ``put`` also writes ``<digest>.json`` here and
         ``get`` falls back to disk on a memory miss.
@@ -162,18 +165,14 @@ class ResultCache:
 
     def __init__(
         self,
-        maxsize: int = 4096,
         directory: str | Path | None = None,
         *,
         disk_budget: int | None = None,
     ) -> None:
-        if maxsize <= 0:
-            raise ValueError(f"maxsize must be positive, got {maxsize}")
         if disk_budget is not None and disk_budget < 0:
             raise ValueError(
                 f"disk_budget must be non-negative, got {disk_budget}"
             )
-        self.maxsize = maxsize
         self.directory = Path(directory) if directory is not None else None
         self.disk_budget = disk_budget
         if self.directory is not None:
@@ -184,7 +183,7 @@ class ResultCache:
         self.misses = 0
         #: Disk entries evicted over this cache's lifetime.
         self.evictions = 0
-        #: Memory-LRU entries pushed out by ``maxsize``.
+        #: Memory-LRU entries pushed out by :data:`_MAXSIZE`.
         self.evictions_memory = 0
         # Running estimate of disk bytes, so `put` only pays a full
         # directory scan when the budget is actually threatened (the
@@ -269,7 +268,7 @@ class ResultCache:
         # not be aliased between the cache and any caller.
         self._memory[key] = copy.deepcopy(dict(record))
         self._memory.move_to_end(key)
-        while len(self._memory) > self.maxsize:
+        while len(self._memory) > _MAXSIZE:
             self._memory.popitem(last=False)
             self.evictions_memory += 1
             _EVICTIONS.labels(layer="memory").inc()
@@ -343,17 +342,12 @@ class ResultCache:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters plus the in-memory size.
-
-        ``evictions`` (disk, the historical key) is kept alongside the
-        explicit ``evictions_disk`` alias so existing readers survive.
-        """
+        """Hit/miss/eviction counters plus the in-memory size."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "size": len(self._memory),
-                "evictions": self.evictions,
                 "evictions_disk": self.evictions,
                 "evictions_memory": self.evictions_memory,
             }

@@ -24,15 +24,14 @@ __all__ = [
 ]
 
 
-def write_results(
-    results: Iterable[TaskResult], path: str | Path, *, append: bool = False
-) -> int:
-    """Write results as JSONL; returns the number of lines written."""
+def write_results(results: Iterable[TaskResult], path: str | Path) -> int:
+    """Write results as JSONL, replacing ``path``; returns the number of
+    lines written."""
     p = Path(path)
     if p.parent != Path("."):
         p.parent.mkdir(parents=True, exist_ok=True)
     count = 0
-    with p.open("a" if append else "w") as fh:
+    with p.open("w") as fh:
         for result in results:
             fh.write(json.dumps(result.to_record(), sort_keys=True))
             fh.write("\n")

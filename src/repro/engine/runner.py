@@ -115,6 +115,11 @@ _REAPED = OBS.counter(
 #: ``/batch`` for a worker lease.
 PRIORITY_URGENT = 1
 
+#: Extra seconds the parent allows past a task's ``timeout`` before it
+#: terminates the worker: headroom for the in-worker ``SIGALRM`` to fire
+#: first (it produces a cheaper, stack-annotated failure).
+_WATCHDOG_GRACE = 1.0
+
 
 class StreamStats:
     """Counters and timing state owned by one ``run_stream`` call.
@@ -220,13 +225,13 @@ class _WatchdogWorker:
         child_conn.close()
         return cls(proc=proc, conn=parent_conn)
 
-    def dispatch(self, pos: int, task: Task, grace: float) -> None:
+    def dispatch(self, pos: int, task: Task) -> None:
         self.conn.send(task)
         self.pos = pos
         self.task = task
         self.started = time.monotonic()
         self.deadline = (
-            self.started + task.timeout + grace
+            self.started + task.timeout + _WATCHDOG_GRACE
             if task.timeout is not None
             else None
         )
@@ -277,10 +282,6 @@ class BatchRunner:
     cache:
         Optional result cache consulted before dispatch and updated
         with every successful result.
-    watchdog_grace:
-        Extra seconds the parent allows past a task's ``timeout`` before
-        terminating the worker — headroom for the in-worker ``SIGALRM``
-        to fire first (it produces a cheaper, stack-annotated failure).
     idle_ttl:
         Reap watchdog workers that sit idle in the shared pool for this
         many seconds, so a quiet long-lived runner (a serving host)
@@ -300,20 +301,14 @@ class BatchRunner:
         jobs: int = 1,
         cache: ResultCache | None = None,
         *,
-        watchdog_grace: float = 1.0,
         idle_ttl: float | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if watchdog_grace < 0:
-            raise ValueError(
-                f"watchdog_grace must be >= 0, got {watchdog_grace}"
-            )
         if idle_ttl is not None and idle_ttl <= 0:
             raise ValueError(f"idle_ttl must be > 0, got {idle_ttl}")
         self.jobs = jobs
         self.cache = cache
-        self.watchdog_grace = watchdog_grace
         self.idle_ttl = idle_ttl
         # Persistent watchdog workers, leased to streams: ``_wd_idle``
         # holds workers not currently owned by any stream, ``_wd_total``
@@ -372,21 +367,20 @@ class BatchRunner:
     # ------------------------------------------------------------------
     # Pool warm-up and idle-TTL reaping
     # ------------------------------------------------------------------
-    def warm_up(self, count: int | None = None) -> int:
+    def warm_up(self) -> int:
         """Pre-spawn watchdog workers so the first request pays no spawn cost.
 
-        Spawns up to ``count`` (default ``jobs``) workers into the
-        shared idle pool, counting existing workers against the target;
-        answers the number actually spawned.  ``jobs=1`` runners solve
-        in-process and never use the pool, so warm-up is a no-op there.
+        Spawns up to ``jobs`` workers into the shared idle pool, counting
+        existing workers against the target; answers the number actually
+        spawned.  ``jobs=1`` runners solve in-process and never use the
+        pool, so warm-up is a no-op there.
         """
         if self.jobs <= 1:
             return 0
-        want = self.jobs if count is None else min(count, self.jobs)
         ctx = mp.get_context()
         with self._wd_cond:
             self._wd_open = True
-            reserve = max(0, want - self._wd_total)
+            reserve = max(0, self.jobs - self._wd_total)
             self._wd_total += reserve
         spawned: list[_WatchdogWorker] = []
         try:
@@ -735,15 +729,13 @@ class BatchRunner:
                         pos, task = work.popleft()
                         stats.dispatch(pos)
                         try:
-                            worker.dispatch(pos, task, self.watchdog_grace)
+                            worker.dispatch(pos, task)
                         except (BrokenPipeError, OSError):
                             # Worker died while idle: one fresh worker
                             # gets one retry, then the task is failed.
                             held[i] = worker = worker.replace(ctx)
                             try:
-                                worker.dispatch(
-                                    pos, task, self.watchdog_grace
-                                )
+                                worker.dispatch(pos, task)
                             except (BrokenPipeError, OSError):
                                 yield pos, failure_result(
                                     task, "could not dispatch to worker", 0.0

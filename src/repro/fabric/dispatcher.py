@@ -16,10 +16,10 @@ Failure semantics
   re-checks ``/healthz`` on an exponential backoff (capped), so a
   bounced server rejoins the fabric automatically.
 * A task that keeps failing in transport gives up after
-  ``max_task_attempts`` tries with an ``ok=False`` result — a sweep
-  never hangs on a permanently dead fabric.  If *every* host stays down
-  longer than ``all_down_grace`` seconds, all still-queued tasks are
-  failed the same way.
+  :data:`_MAX_TASK_ATTEMPTS` tries with an ``ok=False`` result — a
+  sweep never hangs on a permanently dead fabric.  If *every* host
+  stays down longer than :data:`_ALL_DOWN_GRACE` seconds, all
+  still-queued tasks are failed the same way.
 * 4xx answers are deterministic validation errors: they become
   ``ok=False`` results immediately, never retries.
 
@@ -99,6 +99,19 @@ _PROBES = OBS.counter(
     "Health re-probes of a down host, by outcome",
     ("host", "outcome"),
 )
+
+#: Largest per-host window a ``/healthz`` capacity report can size.
+_MAX_WINDOW = 8
+#: Transport-failure budget per task before it is failed locally.
+_MAX_TASK_ATTEMPTS = 6
+#: Exponential backoff schedule (seconds) for re-probing a down host's
+#: ``/healthz``: the first delay, and the cap it doubles up to.
+_PROBE_BASE = 0.25
+_PROBE_CAP = 5.0
+#: Once *every* host has been down for this many consecutive seconds,
+#: still-queued tasks are failed instead of waiting for a fabric that
+#: may never return.
+_ALL_DOWN_GRACE = 300.0
 
 
 def normalize_hosts(spec: str | Sequence[str]) -> list[str]:
@@ -245,16 +258,7 @@ class RemoteDispatcher:
     window:
         Fixed per-host in-flight window; ``None`` (default) sizes each
         host's window from the ``jobs`` capacity field of its
-        ``/healthz`` answer, clamped to ``max_window``.
-    max_task_attempts:
-        Transport-failure budget per task before it is failed locally.
-    probe_base / probe_cap:
-        Exponential backoff schedule (seconds) for re-probing a down
-        host's ``/healthz``.
-    all_down_grace:
-        Once *every* host has been down for this many consecutive
-        seconds, still-queued tasks are failed instead of waiting for a
-        fabric that may never return.
+        ``/healthz`` answer, clamped to :data:`_MAX_WINDOW`.
     http_timeout:
         Per-request socket timeout handed to each host's client.
     client_factory:
@@ -267,29 +271,13 @@ class RemoteDispatcher:
         hosts: str | Sequence[str],
         *,
         window: int | None = None,
-        max_window: int = 8,
-        max_task_attempts: int = 6,
-        probe_base: float = 0.25,
-        probe_cap: float = 5.0,
-        all_down_grace: float = 300.0,
         http_timeout: float = 300.0,
         client_factory: Callable[..., Any] = ServeClient,
     ) -> None:
         self.urls = normalize_hosts(hosts)
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if max_window < 1:
-            raise ValueError(f"max_window must be >= 1, got {max_window}")
-        if max_task_attempts < 1:
-            raise ValueError(
-                f"max_task_attempts must be >= 1, got {max_task_attempts}"
-            )
         self.window = window
-        self.max_window = max_window
-        self.max_task_attempts = max_task_attempts
-        self.probe_base = probe_base
-        self.probe_cap = probe_cap
-        self.all_down_grace = all_down_grace
         self.http_timeout = http_timeout
         # Keep-alive probes must not mask a down host behind long
         # client-internal retry loops — the dispatcher owns retry policy.
@@ -347,7 +335,7 @@ class RemoteDispatcher:
                 try:
                     health = client.health()
                     capacity = int(health.get("jobs") or 1)
-                    window = max(1, min(self.max_window, capacity))
+                    window = max(1, min(_MAX_WINDOW, capacity))
                 except (ServeClientError, ValueError, TypeError):
                     window, down = 1, True
                 finally:
@@ -480,7 +468,7 @@ class RemoteDispatcher:
             run.stats.retried += 1
             run.stats.hosts[label].retried += 1
             attempts = attempt + 1
-            if attempts >= self.max_task_attempts:
+            if attempts >= _MAX_TASK_ATTEMPTS:
                 run.stats.gave_up += 1
                 self._deliver_locked(
                     run,
@@ -503,7 +491,7 @@ class RemoteDispatcher:
         returns when the host is back up, the run finished, or the
         stream was closed.
         """
-        delay = self.probe_base
+        delay = _PROBE_BASE
         while True:
             wait = delay * (0.5 + 0.5 * random.random())
             if run.closed.wait(timeout=wait):
@@ -516,7 +504,7 @@ class RemoteDispatcher:
                 host.client.health()
             except ServeClientError:
                 _PROBES.labels(host=host.label, outcome="down").inc()
-                delay = min(delay * 2, self.probe_cap)
+                delay = min(delay * 2, _PROBE_CAP)
                 continue
             _PROBES.labels(host=host.label, outcome="up").inc()
             with run.cond:
@@ -587,7 +575,7 @@ class RemoteDispatcher:
         """
         if run.all_down_since is None:
             return
-        if time.monotonic() - run.all_down_since < self.all_down_grace:
+        if time.monotonic() - run.all_down_since < _ALL_DOWN_GRACE:
             return
         while run.queue:
             pos, attempts = run.queue.popleft()
@@ -598,7 +586,7 @@ class RemoteDispatcher:
                 failure_result(
                     run.tasks[pos],
                     f"every fabric host unreachable for "
-                    f">{self.all_down_grace:g}s "
+                    f">{_ALL_DOWN_GRACE:g}s "
                     f"(task had {attempts} failed attempts)",
                     0.0,
                 ),

@@ -104,9 +104,12 @@ def figure3(g: int) -> Gadget:
     * ``g - 2`` unit jobs with window ``[g+1, 2g)`` and ``g - 2`` with
       window ``[g, 2g-1)``.
 
-    OPT opens the ``g`` slots of ``[g, 2g)``; the adversarial minimal-style
-    solution opens ``[1, g+1) ∪ [g+1, 2g-1) ∪ [2g-1, 3g-1)`` for a cost of
-    ``3g - 2``.
+    OPT opens the ``g`` slots of ``[g, 2g)``.  The adversarial minimal
+    solution opens time ``[0, g) ∪ [g+1, 2g-1) ∪ [2g, 3g)`` (slots
+    ``1..g``, ``g+2..2g-1`` and ``2g+1..3g``) for a cost of ``3g - 2``:
+    the first long job at the start of its window, then the rigid block,
+    then the second long job at the end of its window.  Closing any one
+    of its slots leaves it infeasible (Definition 4).
     """
     if g < 3:
         raise ValueError("figure3 gadget needs g >= 3")
@@ -125,10 +128,10 @@ def figure3(g: int) -> Gadget:
         jobs.append(Job(g, 2 * g - 1, 1, id=next_id, label="unitB"))
         next_id += 1
 
-    adversarial_slots = sorted(
-        set(range(2, g + 2))            # long job 1 from [1, g+1)
-        | set(range(g + 2, 2 * g))      # rigid + unit block [g+1, 2g-1)
-        | set(range(2 * g, 3 * g))      # long job 2 from [2g-1, 3g-1)
+    adversarial_slots = (
+        list(range(1, g + 1))                # long job 1 over [0, g)
+        + list(range(g + 2, 2 * g))          # rigid + unit block [g+1, 2g-1)
+        + list(range(2 * g + 1, 3 * g + 1))  # long job 2 over [2g, 3g)
     )
     return Gadget(
         name="figure3",

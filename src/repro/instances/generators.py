@@ -60,14 +60,14 @@ def random_unit_instance(
     n: int,
     horizon: int,
     *,
-    max_window: int = 5,
     rng: np.random.Generator | int | None = None,
 ) -> Instance:
-    """Unit-length integral jobs (the Chang–Gabow–Khuller special case)."""
+    """Unit-length integral jobs (the Chang–Gabow–Khuller special case),
+    each window at most 5 slots wide."""
     gen = _rng(rng)
     jobs = []
     for i in range(n):
-        width = int(gen.integers(1, min(max_window, horizon) + 1))
+        width = int(gen.integers(1, min(5, horizon) + 1))
         r = int(gen.integers(0, horizon - width + 1))
         jobs.append(Job(release=r, deadline=r + width, length=1, id=i))
     return Instance(tuple(jobs))
@@ -78,19 +78,14 @@ def random_interval_instance(
     horizon: float,
     *,
     max_length: float = 4.0,
-    integral: bool = False,
     rng: np.random.Generator | int | None = None,
 ) -> Instance:
-    """Interval jobs (rigid start times), real-valued unless ``integral``."""
+    """Interval jobs (rigid start times) with real-valued times."""
     gen = _rng(rng)
     jobs = []
     for i in range(n):
-        if integral:
-            p = float(gen.integers(1, int(max_length) + 1))
-            r = float(gen.integers(0, int(horizon - p) + 1))
-        else:
-            p = float(gen.uniform(0.2, max_length))
-            r = float(gen.uniform(0.0, horizon - p))
+        p = float(gen.uniform(0.2, max_length))
+        r = float(gen.uniform(0.0, horizon - p))
         jobs.append(Job(release=r, deadline=r + p, length=p, id=i))
     return Instance(tuple(jobs))
 
@@ -100,16 +95,16 @@ def random_flexible_instance(
     horizon: int,
     *,
     max_length: int = 4,
-    max_slack: int = 6,
     rng: np.random.Generator | int | None = None,
 ) -> Instance:
-    """Integral flexible jobs for the busy-time pipeline (Section 4.3)."""
+    """Integral flexible jobs for the busy-time pipeline (Section 4.3),
+    each with 1 to 6 slots of slack."""
     return random_active_time_instance(
         n,
         horizon,
         max_length=max_length,
         min_slack=1,
-        max_slack=max_slack,
+        max_slack=6,
         rng=rng,
     )
 

@@ -121,15 +121,13 @@ def solve_busy_time_interval_exact(
     instance: Instance,
     g: int,
     *,
-    max_machines: int | None = None,
     backend: str | SolverBackend | None = None,
 ) -> MilpResult:
     """Exact minimum busy time for an interval-job instance.
 
-    ``max_machines`` bounds the number of candidate machines (defaults to
-    ``n``, always sufficient since each job alone on a machine is feasible).
-    Symmetry is broken by allowing job ``k`` (in input order) only on machines
-    ``0..k``.
+    There are ``n`` candidate machines, always enough since each job alone
+    on a machine is feasible.  Symmetry is broken by allowing job ``k`` (in
+    input order) only on machines ``0..k``.
 
     The witness maps ``"bundles"`` to a list of job-id lists, one per used
     machine.
@@ -139,7 +137,6 @@ def solve_busy_time_interval_exact(
     n = instance.n
     if n == 0:
         return MilpResult(0.0, {"bundles": []})
-    M = min(max_machines or n, n)
     segments = interesting_intervals(instance)
     seg_len = [b - a for a, b in segments]
     seg_jobs: list[list[int]] = []
@@ -147,15 +144,15 @@ def solve_busy_time_interval_exact(
         mid = 0.5 * (a + b)
         seg_jobs.append([k for k, j in enumerate(instance.jobs) if j.is_live_at(mid)])
 
-    # Columns: z[k, m] for m <= min(k, M-1), then u[m, i].
+    # Columns: z[k, m] for m <= k, then u[m, i].
     z_col: dict[tuple[int, int], int] = {}
     col = 0
     for k in range(n):
-        for m in range(min(k + 1, M)):
+        for m in range(k + 1):
             z_col[(k, m)] = col
             col += 1
     u_col: dict[tuple[int, int], int] = {}
-    for m in range(M):
+    for m in range(n):
         for i in range(len(segments)):
             u_col[(m, i)] = col
             col += 1
@@ -170,7 +167,7 @@ def solve_busy_time_interval_exact(
 
     # each job on exactly one machine
     for k in range(n):
-        for m in range(min(k + 1, M)):
+        for m in range(k + 1):
             rows.append(row)
             cols.append(z_col[(k, m)])
             vals.append(1.0)
@@ -179,7 +176,7 @@ def solve_busy_time_interval_exact(
         row += 1
 
     # capacity + busy indicator:  sum_{k live in seg i} z[k,m] <= g * u[m,i]
-    for m in range(M):
+    for m in range(n):
         for i, live in enumerate(seg_jobs):
             touched = False
             for k in live:

@@ -102,15 +102,12 @@ def solve_active_time_lp(
     instance: Instance,
     g: int,
     *,
-    model: ActiveTimeModel | None = None,
     backend: str | SolverBackend | None = None,
 ) -> ActiveTimeLPSolution:
     """Solve ``LP1`` to optimality and package the solution.
 
     Parameters
     ----------
-    model:
-        A pre-built constraint system (assembled internally when omitted).
     backend:
         Solver backend name or instance (default: registry resolution —
         ``REPRO_LP_BACKEND`` env var, then ``scipy-highs``).
@@ -122,8 +119,7 @@ def solve_active_time_lp(
         scheduled even with every slot open (for example, more than ``g``
         unit jobs sharing a single-slot window) — or the backend fails.
     """
-    if model is None:
-        model = build_active_time_model(instance, g)
+    model = build_active_time_model(instance, g)
     if model.num_vars == model.T == 0:
         return ActiveTimeLPSolution(
             model=model, objective=0.0, y=np.zeros(1), x={}

@@ -23,7 +23,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 __all__ = [
     "Counter",
@@ -31,12 +31,12 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "DEFAULT_BUCKETS",
+    "BUCKETS",
 ]
 
-#: Default histogram buckets, sized for solver latencies (seconds):
+#: Histogram buckets, sized for solver latencies (seconds):
 #: sub-millisecond combinatorial solves up to minute-scale MILPs.
-DEFAULT_BUCKETS: tuple[float, ...] = (
+BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
@@ -96,8 +96,8 @@ class _GaugeChild(_Child):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
+    def dec(self) -> None:
+        self.inc(-1.0)
 
     @property
     def value(self) -> float:
@@ -199,7 +199,6 @@ class _MetricFamily:
         name: str,
         help: str,
         labelnames: Sequence[str] = (),
-        buckets: Sequence[float] | None = None,
     ) -> None:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
@@ -209,19 +208,11 @@ class _MetricFamily:
                     f"invalid label name {label!r} for metric {name!r}"
                 )
         if self.kind == "histogram":
-            bucket_list = tuple(
-                float(b) for b in (buckets or DEFAULT_BUCKETS)
-            )
-            if list(bucket_list) != sorted(set(bucket_list)):
-                raise ValueError(
-                    f"histogram buckets must be strictly increasing, "
-                    f"got {bucket_list}"
-                )
             if "le" in labelnames:
                 raise ValueError(
                     "'le' is reserved for histogram buckets"
                 )
-            self.buckets = bucket_list
+            self.buckets = BUCKETS
         else:
             self.buckets: tuple[float, ...] = ()
         self.registry = registry
@@ -276,7 +267,7 @@ class _MetricFamily:
         return self.labels()
 
     def signature(self) -> tuple:
-        return (self.kind, self.labelnames, self.buckets)
+        return (self.kind, self.labelnames)
 
 
 class Counter(_MetricFamily):
@@ -303,8 +294,8 @@ class Gauge(_MetricFamily):
     def inc(self, amount: float = 1.0) -> None:
         self._solo().inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
+    def dec(self) -> None:
+        self._solo().dec()
 
     @property
     def value(self) -> float:
@@ -341,14 +332,14 @@ class MetricsRegistry:
     """Process-wide home for metric families.
 
     Families are get-or-create: a second registration of the same name
-    returns the existing family when kind/labels/buckets agree and
+    returns the existing family when kind and labels agree and
     raises otherwise, so independent modules can safely share a series.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: dict[str, _MetricFamily] = {}
-        self.enabled = enabled
+        self.enabled = True
 
     # ------------------------------------------------------------------
     def enable(self) -> None:
@@ -365,14 +356,11 @@ class MetricsRegistry:
         name: str,
         help: str,
         labelnames: Sequence[str],
-        buckets: Sequence[float] | None = None,
     ) -> Any:
         with self._lock:
             existing = self._families.get(name)
             if existing is not None:
-                candidate = _FAMILY_TYPES[kind](
-                    self, name, help, labelnames, buckets
-                )
+                candidate = _FAMILY_TYPES[kind](self, name, help, labelnames)
                 if existing.signature() != candidate.signature():
                     raise ValueError(
                         f"metric {name!r} already registered as "
@@ -380,7 +368,7 @@ class MetricsRegistry:
                         f"{list(existing.labelnames)}"
                     )
                 return existing
-            family = _FAMILY_TYPES[kind](self, name, help, labelnames, buckets)
+            family = _FAMILY_TYPES[kind](self, name, help, labelnames)
             self._families[name] = family
             return family
 
@@ -395,14 +383,9 @@ class MetricsRegistry:
         return self._register("gauge", name, help, labelnames)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        *,
-        buckets: Sequence[float] | None = None,
+        self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> Histogram:
-        return self._register("histogram", name, help, labelnames, buckets)
+        return self._register("histogram", name, help, labelnames)
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> _MetricFamily | None:
@@ -415,19 +398,17 @@ class MetricsRegistry:
         with self._lock:
             return [self._families[n] for n in sorted(self._families)]
 
-    def value(
-        self, name: str, labels: Mapping[str, Any] | None = None
-    ) -> float:
-        """Shorthand: current value of one counter/gauge series.
+    def value(self, name: str) -> float:
+        """Shorthand: current value of one unlabeled counter/gauge.
 
-        Missing families or label combinations answer ``0.0`` so
-        readers (``/stats``) never race registration order.
+        A missing family answers ``0.0`` so readers (``/stats``) never
+        race registration order, and so does a labeled one.
         """
         family = self.get(name)
         if family is None:
             return 0.0
         try:
-            child = family.labels(**dict(labels or {}))
+            child = family.labels()
         except ValueError:
             return 0.0
         return float(child.value)

@@ -102,6 +102,13 @@ _STALE_SOCKET_ERRORS = (
     OSError,
 )
 
+#: Exponential-backoff schedule for GET retries: attempt ``k`` sleeps
+#: ``min(_BACKOFF_BASE * 2**k, _BACKOFF_CAP)`` seconds scaled by a random
+#: jitter in [0.5, 1.0] (jitter keeps a fleet of probes from re-hammering
+#: a recovering server in lockstep).
+_BACKOFF_BASE = 0.05
+_BACKOFF_CAP = 2.0
+
 
 class ServeClient:
     """Talk to one ``repro serve`` endpoint.
@@ -115,13 +122,8 @@ class ServeClient:
         this bounds silence between lines rather than total runtime.
     get_retries:
         Extra attempts for idempotent GETs after a transport failure or
-        5xx answer (``0`` disables retry).  POST bodies are never
-        auto-retried.
-    backoff_base / backoff_cap:
-        Exponential-backoff schedule for those retries: attempt ``k``
-        sleeps ``min(backoff_base * 2**k, backoff_cap)`` scaled by a
-        random jitter in [0.5, 1.0] (jitter keeps a fleet of probes
-        from re-hammering a recovering server in lockstep).
+        5xx answer (``0`` disables retry), on the :data:`_BACKOFF_BASE`
+        schedule.  POST bodies are never auto-retried.
     """
 
     def __init__(
@@ -130,8 +132,6 @@ class ServeClient:
         *,
         http_timeout: float = 300.0,
         get_retries: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         parts = urlsplit(self.base_url)
@@ -147,8 +147,6 @@ class ServeClient:
         self._port = parts.port
         self.http_timeout = http_timeout
         self.get_retries = max(0, int(get_retries))
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         # One persistent connection per thread: http.client connections
         # are strictly serial (one request/response in flight), and the
         # fabric dispatcher shares one client between a host's window
@@ -301,9 +299,7 @@ class ServeClient:
             except ServeClientError as exc:
                 if not exc.transient or attempt >= self.get_retries:
                     raise
-                delay = min(
-                    self.backoff_base * (2 ** attempt), self.backoff_cap
-                )
+                delay = min(_BACKOFF_BASE * (2 ** attempt), _BACKOFF_CAP)
                 time.sleep(delay * (0.5 + 0.5 * random.random()))
                 attempt += 1
 

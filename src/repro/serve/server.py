@@ -47,7 +47,7 @@ Endpoints (wire contract unchanged from the threading tier)
 Backpressure
 ------------
 Each ``/batch`` connection owns a bounded result buffer
-(``batch_buffer`` results): the producer thread pulling the engine
+(:data:`_BATCH_BUFFER` results): the producer thread pulling the engine
 stream blocks once the buffer is full, and the event-loop side awaits
 ``writer.drain()`` after every line — so a stalled reader suspends *its
 own* stream at the cap instead of pinning unbounded result memory, and
@@ -117,9 +117,9 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 #: leased workers and frees their capacity.
 DEFAULT_WRITE_STALL_SECONDS = 300.0
 
-#: Default for ``batch_buffer``: results a ``/batch`` producer may pull
-#: ahead of what its client has consumed before it blocks.
-DEFAULT_BATCH_BUFFER = 64
+#: Results a ``/batch`` producer may pull ahead of what its client has
+#: consumed before it blocks.
+_BATCH_BUFFER = 64
 
 #: Drop a keep-alive connection idle (no request line) past this long.
 _KEEPALIVE_SECONDS = 600.0
@@ -169,7 +169,6 @@ def _label(index: int | None) -> str:
 
 def parse_task_request(
     payload: Any,
-    index: int | None = None,
     *,
     default_backend: str | None = None,
     default_timeout: float | None = None,
@@ -179,12 +178,9 @@ def parse_task_request(
     Raises :class:`RequestError` (status 400) with the same menu-style
     messages the CLI prints: unknown algorithms list the registered
     names, unknown backends list the backend menu.
-
-    ``index`` labels multi-task (batch) errors with the task's position;
-    it also becomes the task's result-ordering index.
     """
     return _parse_task(
-        payload, index, default_backend, default_timeout, _decode_instance
+        payload, None, default_backend, default_timeout, _decode_instance
     )
 
 
@@ -401,9 +397,6 @@ class ServeApp:
         Seconds a response write may wait on ``drain()`` before the
         client is treated as disconnected (``None`` disables the
         budget).
-    ``batch_buffer``
-        Per-``/batch`` bounded result-buffer size: how far the engine
-        stream may run ahead of a slow reader before it blocks.
     ``warm_pool`` / ``idle_ttl``
         Forwarded to the runner: pre-spawn the watchdog worker pool at
         startup, and reap workers idle past the TTL.
@@ -417,7 +410,6 @@ class ServeApp:
         default_backend: str | None = None,
         default_timeout: float | None = None,
         write_stall_timeout: float | None = DEFAULT_WRITE_STALL_SECONDS,
-        batch_buffer: int = DEFAULT_BATCH_BUFFER,
         warm_pool: bool = False,
         idle_ttl: float | None = None,
     ) -> None:
@@ -427,10 +419,6 @@ class ServeApp:
             raise ValueError(
                 "write_stall_timeout must be > 0 seconds (or None), "
                 f"got {write_stall_timeout}"
-            )
-        if batch_buffer < 1:
-            raise ValueError(
-                f"batch_buffer must be >= 1, got {batch_buffer}"
             )
         self.cache = cache if cache is not None else ResultCache()
         self.runner = BatchRunner(jobs=jobs, cache=self.cache,
@@ -442,7 +430,6 @@ class ServeApp:
             if write_stall_timeout is not None
             else None
         )
-        self.batch_buffer = int(batch_buffer)
         self._counter_lock = threading.Lock()
         self.batches_served = 0
         self.tasks_served = 0
@@ -811,7 +798,6 @@ class ReproAsyncServer:
         *,
         verbose: bool = False,
         max_connections: int | None = None,
-        keepalive_timeout: float = _KEEPALIVE_SECONDS,
     ) -> None:
         if max_connections is not None and max_connections < 1:
             raise ValueError(
@@ -820,7 +806,6 @@ class ReproAsyncServer:
         self.app = app
         self.verbose = verbose
         self.max_connections = max_connections
-        self.keepalive_timeout = keepalive_timeout
         self._sock = socket.create_server(address, backlog=512)
         self.server_address = self._sock.getsockname()[:2]
         # Request executor for blocking work (body parse + /solve).
@@ -1026,7 +1011,7 @@ class ReproAsyncServer:
         """
         try:
             line = await asyncio.wait_for(
-                reader.readline(), timeout=self.keepalive_timeout
+                reader.readline(), timeout=_KEEPALIVE_SECONDS
             )
         except (asyncio.TimeoutError, ValueError):
             return None
@@ -1125,7 +1110,7 @@ class ReproAsyncServer:
         app = self.app
         if path == "/algos":
             payload, status = app.algos_payload(), 200
-        elif path in ("/healthz", "/health"):
+        elif path == "/healthz":
             payload, status = app.health_payload(), 200
         elif path == "/metrics":
             body = render_prometheus(OBS).encode("utf-8")
@@ -1207,7 +1192,7 @@ class ReproAsyncServer:
             + "\r\n"
         )
         writer.write(head.encode("ascii"))
-        bridge = _BatchBridge(loop, app.batch_buffer)
+        bridge = _BatchBridge(loop, _BATCH_BUFFER)
         producer = threading.Thread(
             target=_produce_batch,
             args=(app, tasks, bridge),
@@ -1338,11 +1323,9 @@ def create_server(
     default_timeout: float | None = None,
     verbose: bool = False,
     write_stall_timeout: float | None = DEFAULT_WRITE_STALL_SECONDS,
-    batch_buffer: int = DEFAULT_BATCH_BUFFER,
     max_connections: int | None = None,
     warm_pool: bool = False,
     idle_ttl: float | None = None,
-    keepalive_timeout: float = _KEEPALIVE_SECONDS,
 ) -> ReproAsyncServer:
     """Build a ready-to-run server (``port=0`` picks an ephemeral port)."""
     app = ServeApp(
@@ -1351,7 +1334,6 @@ def create_server(
         default_backend=default_backend,
         default_timeout=default_timeout,
         write_stall_timeout=write_stall_timeout,
-        batch_buffer=batch_buffer,
         warm_pool=warm_pool,
         idle_ttl=idle_ttl,
     )
@@ -1360,5 +1342,4 @@ def create_server(
         app,
         verbose=verbose,
         max_connections=max_connections,
-        keepalive_timeout=keepalive_timeout,
     )

@@ -12,14 +12,14 @@ Status vocabulary (shared by every backend):
 * ``optimal``    — solved to optimality; ``x`` and ``objective`` are set.
 * ``infeasible`` — no feasible point exists.
 * ``unbounded``  — the objective is unbounded below.
-* ``timeout``    — the time limit hit before optimality.
+* ``timeout``    — an iteration limit hit before optimality.
 * ``error``      — anything else (numerical failure, solver crash).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -95,12 +95,6 @@ class SolverBackend(Protocol):
         "sparse", "dependency-free", "tiny"}`` (extensible)."""
         ...
 
-    def solve(
-        self,
-        lp: LinearProgram,
-        *,
-        time_limit: float | None = None,
-        options: Mapping[str, Any] | None = None,
-    ) -> SolverResult:
+    def solve(self, lp: LinearProgram) -> SolverResult:
         """Solve ``lp`` and map the native outcome onto a SolverResult."""
         ...

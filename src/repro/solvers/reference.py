@@ -19,7 +19,6 @@ polynomial per pivot but the tableau is dense — keep instances tiny
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -34,10 +33,8 @@ MAX_DENSE_VARS = 5000
 _TOL = 1e-9
 #: Integrality tolerance for branch & bound leaves.
 _INT_TOL = 1e-6
-
-
-class _Timeout(Exception):
-    pass
+#: Branch & bound gives up (status ``error``) past this many nodes.
+_MAX_NODES = 200_000
 
 
 class _Unbounded(Exception):
@@ -60,19 +57,16 @@ def _run_simplex(
     basis: list[int],
     cost_row: int,
     m: int,
-    deadline: float | None,
 ) -> None:
     """Minimize the objective stored in ``t[cost_row]`` in place.
 
     ``m`` is the number of constraint rows (rows ``0..m-1``).  Raises
-    :class:`_Unbounded` or :class:`_Timeout`; returns at optimality.
+    :class:`_Unbounded`; returns at optimality.
     Bland's rule (lowest-index entering column, lowest-basis-index
     leaving row among ties) guarantees termination.
     """
     max_iter = 200 * (m + t.shape[1])
     for _ in range(max_iter):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _Timeout
         reduced = t[cost_row, :-1]
         entering = -1
         for j in range(len(reduced)):
@@ -106,7 +100,6 @@ def _dense_lp(
     b_eq: np.ndarray | None,
     lb: np.ndarray,
     ub: np.ndarray,
-    deadline: float | None,
 ) -> tuple[str, np.ndarray | None, float | None]:
     """Solve one bounded LP; returns ``(status, x, objective)``."""
     n = len(c)
@@ -173,9 +166,7 @@ def _dense_lp(
     basis = list(range(art0, art0 + m))
 
     try:
-        _run_simplex(t, basis, m + 1, m, deadline)
-    except _Timeout:
-        return "timeout", None, None
+        _run_simplex(t, basis, m + 1, m)
     except _Unbounded:  # pragma: no cover - phase 1 is bounded below by 0
         return "error", None, None
     if -t[m + 1, -1] > 1e-7:
@@ -196,9 +187,7 @@ def _dense_lp(
     t[m + 1, :] = 0.0
     t[:, art0 : art0 + m] = 0.0
     try:
-        _run_simplex(t, basis, m, m, deadline)
-    except _Timeout:
-        return "timeout", None, None
+        _run_simplex(t, basis, m, m)
     except _Unbounded:
         return "unbounded", None, None
 
@@ -221,16 +210,8 @@ class ReferenceBackend:
         return frozenset({"lp", "milp", "dependency-free", "tiny"})
 
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        lp: LinearProgram,
-        *,
-        time_limit: float | None = None,
-        options: Mapping[str, Any] | None = None,
-    ) -> SolverResult:
+    def solve(self, lp: LinearProgram) -> SolverResult:
         start = time.perf_counter()
-        deadline = start + time_limit if time_limit is not None else None
-        options = dict(options or {})
         if lp.num_vars == 0:
             return SolverResult(
                 status="optimal",
@@ -252,11 +233,11 @@ class ReferenceBackend:
         try:
             if len(int_cols) == 0:
                 status, x, obj = _dense_lp(
-                    lp.c, a_ub, lp.b_ub, a_eq, lp.b_eq, lb, ub, deadline
+                    lp.c, a_ub, lp.b_ub, a_eq, lp.b_eq, lb, ub
                 )
             else:
                 status, x, obj = self._branch_and_bound(
-                    lp, a_ub, a_eq, lb, ub, int_cols, deadline, options
+                    lp, a_ub, a_eq, lb, ub, int_cols
                 )
         except ValueError:
             raise
@@ -285,26 +266,21 @@ class ReferenceBackend:
         lb: np.ndarray,
         ub: np.ndarray,
         int_cols: np.ndarray,
-        deadline: float | None,
-        options: Mapping[str, Any],
     ) -> tuple[str, np.ndarray | None, float | None]:
-        max_nodes = int(options.get("max_nodes", 200_000))
         best_obj = np.inf
         best_x: np.ndarray | None = None
         stack: list[tuple[np.ndarray, np.ndarray]] = [(lb, ub)]
         nodes = 0
         while stack:
             nodes += 1
-            if nodes > max_nodes:
+            if nodes > _MAX_NODES:
                 raise RuntimeError(
-                    f"branch & bound exceeded {max_nodes} nodes"
+                    f"branch & bound exceeded {_MAX_NODES} nodes"
                 )
             node_lb, node_ub = stack.pop()
             status, x, obj = _dense_lp(
-                lp.c, a_ub, lp.b_ub, a_eq, lp.b_eq, node_lb, node_ub, deadline
+                lp.c, a_ub, lp.b_ub, a_eq, lp.b_eq, node_lb, node_ub
             )
-            if status == "timeout":
-                return "timeout", None, None
             if status == "unbounded" and nodes == 1:
                 return "unbounded", None, None
             if status != "optimal" or obj >= best_obj - _TOL:

@@ -187,8 +187,6 @@ def solve_ir(
     lp: LinearProgram,
     *,
     backend: str | SolverBackend | None = None,
-    time_limit: float | None = None,
-    options: Mapping[str, Any] | None = None,
 ) -> SolverResult:
     """Route one IR solve through the registry — the main entry point.
 
@@ -198,7 +196,7 @@ def solve_ir(
     """
     chosen = resolve_backend(backend, require={lp.required_capability})
     start = time.perf_counter()
-    result = chosen.solve(lp, time_limit=time_limit, options=options)
+    result = chosen.solve(lp)
     elapsed = time.perf_counter() - start
     if result.elapsed == 0.0:  # backend didn't time itself
         result = replace(result, elapsed=elapsed)

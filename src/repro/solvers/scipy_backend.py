@@ -11,7 +11,6 @@ codes mapped onto the shared vocabulary the way scipy's own
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
@@ -24,7 +23,7 @@ __all__ = ["ScipyHighsBackend"]
 #: scipy status codes (shared by linprog and milp) -> uniform statuses.
 _STATUS = {
     0: "optimal",
-    1: "timeout",  # iteration / time limit
+    1: "timeout",  # iteration limit
     2: "infeasible",
     3: "unbounded",
     4: "error",
@@ -40,13 +39,7 @@ class ScipyHighsBackend:
         return frozenset({"lp", "milp", "sparse"})
 
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        lp: LinearProgram,
-        *,
-        time_limit: float | None = None,
-        options: Mapping[str, Any] | None = None,
-    ) -> SolverResult:
+    def solve(self, lp: LinearProgram) -> SolverResult:
         start = time.perf_counter()
         if lp.num_vars == 0:
             return SolverResult(
@@ -56,10 +49,7 @@ class ScipyHighsBackend:
                 x=np.zeros(0),
                 elapsed=time.perf_counter() - start,
             )
-        if lp.is_milp:
-            res = self._solve_milp(lp, time_limit, dict(options or {}))
-        else:
-            res = self._solve_lp(lp, time_limit, dict(options or {}))
+        res = self._solve_milp(lp) if lp.is_milp else self._solve_lp(lp)
         status = _STATUS.get(int(res.status), "error")
         if status == "optimal" and res.x is None:  # defensive: never trust both
             status = "error"
@@ -73,10 +63,8 @@ class ScipyHighsBackend:
         )
 
     # ------------------------------------------------------------------
-    def _solve_lp(self, lp: LinearProgram, time_limit, options):
+    def _solve_lp(self, lp: LinearProgram):
         lb, ub = lp.bounds_arrays()
-        if time_limit is not None:
-            options.setdefault("time_limit", float(time_limit))
         return linprog(
             c=lp.c,
             A_ub=lp.a_ub,
@@ -85,10 +73,9 @@ class ScipyHighsBackend:
             b_eq=lp.b_eq,
             bounds=np.column_stack((lb, ub)),
             method="highs",
-            options=options or None,
         )
 
-    def _solve_milp(self, lp: LinearProgram, time_limit, options):
+    def _solve_milp(self, lp: LinearProgram):
         constraints = []
         if lp.a_ub is not None:
             constraints.append(
@@ -99,12 +86,9 @@ class ScipyHighsBackend:
                 LinearConstraint(lp.a_eq, lp.b_eq, lp.b_eq)
             )
         lb, ub = lp.bounds_arrays()
-        if time_limit is not None:
-            options.setdefault("time_limit", float(time_limit))
         return milp(
             c=lp.c,
             constraints=constraints,
             integrality=lp.integrality_array(),
             bounds=Bounds(lb, ub),
-            options=options or None,
         )

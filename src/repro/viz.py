@@ -24,29 +24,29 @@ __all__ = [
 ]
 
 #: Total character budget for the time axis.
-DEFAULT_WIDTH = 64
+WIDTH = 64
 
 
-def _scale(lo: float, hi: float, width: int):
+def _scale(lo: float, hi: float):
     """Return a position mapper ``time -> column`` for the given extent."""
     extent = max(hi - lo, 1e-9)
 
     def to_col(t: float) -> int:
-        return int(round((t - lo) / extent * (width - 1)))
+        return int(round((t - lo) / extent * (WIDTH - 1)))
 
     return to_col
 
 
-def render_instance(instance: Instance, *, width: int = DEFAULT_WIDTH) -> str:
+def render_instance(instance: Instance) -> str:
     """Rows of ``====`` (length) inside ``....`` (window slack)."""
     if instance.n == 0:
         return "(empty instance)"
     lo = instance.earliest_release
     hi = instance.latest_deadline
-    to_col = _scale(lo, hi, width)
+    to_col = _scale(lo, hi)
     lines = [f"t: [{lo:g}, {hi:g})"]
     for job in instance.jobs:
-        row = [" "] * width
+        row = [" "] * WIDTH
         a, b = to_col(job.release), to_col(job.deadline)
         for c in range(a, max(a + 1, b)):
             row[c] = "."
@@ -59,9 +59,7 @@ def render_instance(instance: Instance, *, width: int = DEFAULT_WIDTH) -> str:
     return "\n".join(lines)
 
 
-def render_active_schedule(
-    schedule: ActiveTimeSchedule, *, width: int = DEFAULT_WIDTH
-) -> str:
+def render_active_schedule(schedule: ActiveTimeSchedule) -> str:
     """Slots as columns; per slot the jobs scheduled there, ``#`` when full."""
     instance = schedule.instance
     if instance.n == 0:
@@ -91,25 +89,23 @@ def render_active_schedule(
     return "\n".join(lines)
 
 
-def render_busy_schedule(
-    schedule: BusyTimeSchedule, *, width: int = DEFAULT_WIDTH
-) -> str:
+def render_busy_schedule(schedule: BusyTimeSchedule) -> str:
     """One section per machine; jobs as bars, busy periods marked below."""
     if not schedule.bundles:
         return "(no machines used)"
     lo = min(j.release for b in schedule.bundles for j in b.jobs)
     hi = max(j.deadline for b in schedule.bundles for j in b.jobs)
-    to_col = _scale(lo, hi, width)
+    to_col = _scale(lo, hi)
     lines = [f"t: [{lo:g}, {hi:g})"]
     for k, bundle in enumerate(schedule.bundles):
         lines.append(f"machine {k} (busy {bundle.busy_time:g}):")
         for job in sorted(bundle.jobs, key=lambda j: j.release):
-            row = [" "] * width
+            row = [" "] * WIDTH
             a, b = to_col(job.release), to_col(job.deadline)
             for c in range(a, max(a + 1, b)):
                 row[c] = "="
             lines.append(f"  j{job.id:<3} |{''.join(row)}|")
-        busy_row = [" "] * width
+        busy_row = [" "] * WIDTH
         for a, b in bundle.busy_intervals:
             for c in range(to_col(a), max(to_col(a) + 1, to_col(b))):
                 busy_row[c] = "^"
@@ -118,19 +114,17 @@ def render_busy_schedule(
     return "\n".join(lines)
 
 
-def render_demand_profile(
-    profile: DemandProfile, *, width: int = DEFAULT_WIDTH
-) -> str:
+def render_demand_profile(profile: DemandProfile) -> str:
     """The staircase ``D(t)`` as stacked rows (top row = peak demand)."""
     if not profile.segments:
         return "(empty profile)"
     lo = profile.segments[0][0]
     hi = profile.segments[-1][1]
-    to_col = _scale(lo, hi, width)
+    to_col = _scale(lo, hi)
     peak = profile.max_demand
     lines = [f"t: [{lo:g}, {hi:g}), g={profile.g}, cost={profile.cost:g}"]
     for level in range(peak, 0, -1):
-        row = [" "] * width
+        row = [" "] * WIDTH
         for i, (a, b) in enumerate(profile.segments):
             if profile.demand(i) >= level:
                 for c in range(to_col(a), max(to_col(a) + 1, to_col(b))):

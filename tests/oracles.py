@@ -120,6 +120,19 @@ def random_laminar_instance(
     return Instance(tuple(jobs))
 
 
+def random_integral_interval_instance(
+    n: int, horizon: float, *, rng: np.random.Generator
+) -> Instance:
+    """Interval jobs with integral lengths in ``[1, 4]`` and integral
+    releases, inside ``[0, horizon]``: the exact MILPs' common ground."""
+    jobs = []
+    for i in range(n):
+        p = float(rng.integers(1, 5))
+        r = float(rng.integers(0, int(horizon - p) + 1))
+        jobs.append(Job(release=r, deadline=r + p, length=p, id=i))
+    return Instance(tuple(jobs))
+
+
 # ----------------------------------------------------------------------
 # Raw demand at a point: the brute-force |A(t)| (Definition 11)
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.instances import (
     random_active_time_instance,
     tight_window_instance,
 )
-from repro.lp import solve_active_time_lp
 
 #: The two causes of the Lemma-5 breaks below.
 RULE_A = (
@@ -54,11 +53,6 @@ class TestBasics:
         inst = Instance.from_tuples([(0, 5, 3)])
         sol = round_active_time(inst, 1, strict=True)
         assert sol.cost == 3
-
-    def test_accepts_presolved_lp(self, tiny_instance):
-        lp = solve_active_time_lp(tiny_instance, 2)
-        sol = round_active_time(tiny_instance, 2, lp=lp, strict=True)
-        assert sol.lp is lp
 
     def test_infeasible_instance_raises(self):
         inst = Instance.from_tuples([(0, 1, 1), (0, 1, 1)])

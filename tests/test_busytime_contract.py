@@ -1,19 +1,18 @@
 """The contract every interval busy-time algorithm keeps.
 
 Each check runs against every algorithm of
-:data:`repro.busytime.INTERVAL_ALGORITHMS` and FIRSTFIT's two other
-orders, so a new algorithm, or a regression in one, is caught on the same
-footing: the optimum and the demand profile bound every schedule from
-below, on random instances and on the structured families of footnote 1,
-capacity one forces tracks, jobs that never overlap cost exactly their
-length however they are bundled, and an exact shift or doubling of every
-time value leaves the bundles unchanged.  Each registered packer also
-stays within its proven ratio of the optimum.
+:data:`repro.busytime.INTERVAL_ALGORITHMS`, so a new algorithm, or a
+regression in one, is caught on the same footing: the optimum and the
+demand profile bound every schedule from below, on random instances and
+on the structured families of footnote 1, capacity one forces tracks,
+jobs that never overlap cost exactly their length however they are
+bundled, and an exact shift or doubling of every time value, or new job
+ids, leave the bundles unchanged.  Each registered packer also stays
+within its proven ratio of the optimum.
 """
 
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from repro.busytime import (
     INTERVAL_ALGORITHMS,
     compute_demand_profile,
     exact_busy_time_interval,
-    first_fit,
 )
 from repro.core import Instance, Job
 from repro.instances import (
@@ -32,15 +30,11 @@ from repro.instances import (
     random_proper_instance,
 )
 
-from oracles import is_track, random_laminar_instance
-
-#: The registered packers, plus FIRSTFIT greedy by release time and in
-#: input order (its ``order`` option; ``"length"`` is the registered one).
-ALGORITHMS = {
-    **INTERVAL_ALGORITHMS,
-    "first_fit_release": partial(first_fit, order="release"),
-    "first_fit_input": partial(first_fit, order="input"),
-}
+from oracles import (
+    is_track,
+    random_integral_interval_instance,
+    random_laminar_instance,
+)
 
 #: Each registered packer's proven worst case on interval jobs, as a
 #: multiple of the optimum.
@@ -81,9 +75,9 @@ def _moved(inst, scale=1, shift=0):
     )
 
 
-@pytest.fixture(params=sorted(ALGORITHMS))
+@pytest.fixture(params=sorted(INTERVAL_ALGORITHMS))
 def algorithm(request):
-    return ALGORITHMS[request.param]
+    return INTERVAL_ALGORITHMS[request.param]
 
 
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
@@ -133,6 +127,23 @@ def test_job_ids_need_not_be_positions(algorithm, rng):
         assert any(k in bundle.job_ids() for bundle in s.bundles)
 
 
+def test_relabelling_keeps_the_bundles(algorithm, rng):
+    """With no two times equal, ids only name jobs: relabelled jobs land
+    in the same bundles, in the same order."""
+    for _ in range(5):
+        inst = random_interval_instance(10, 16.0, rng=rng)
+        g = int(rng.integers(1, 4))
+        new = rng.choice(1000, size=inst.n, replace=False)
+        label = {j.id: int(k) for j, k in zip(inst.jobs, new)}
+        relabelled = Instance(
+            tuple(replace(j, id=label[j.id]) for j in inst.jobs)
+        )
+        assert [b.job_ids() for b in algorithm(relabelled, g).bundles] == [
+            sorted(label[k] for k in b.job_ids())
+            for b in algorithm(inst, g).bundles
+        ]
+
+
 def test_never_below_exact_optimum(algorithm, rng):
     for _ in range(5):
         inst = random_interval_instance(7, 12.0, rng=rng)
@@ -157,13 +168,13 @@ def test_every_registered_packer_declares_its_guarantee():
 @pytest.mark.parametrize("name", sorted(GUARANTEES))
 def test_within_proven_ratio_on_structured_families(name, family_cases):
     for inst, g, opt in family_cases:
-        cost = ALGORITHMS[name](inst, g).total_busy_time
+        cost = INTERVAL_ALGORITHMS[name](inst, g).total_busy_time
         assert cost <= GUARANTEES[name] * opt + 1e-6
 
 
 def test_shifting_time_keeps_the_bundles(algorithm, rng):
     for _ in range(5):
-        inst = random_interval_instance(10, 16.0, integral=True, rng=rng)
+        inst = random_integral_interval_instance(10, 16.0, rng=rng)
         g = int(rng.integers(1, 4))
         a, b = algorithm(inst, g), algorithm(_moved(inst, shift=7), g)
         assert [x.job_ids() for x in b.bundles] == [

@@ -6,7 +6,11 @@ from repro.busytime import exact_busy_time_interval
 from repro.core import Instance
 from repro.instances import random_interval_instance
 
-from oracles import brute_force_busy_time_interval, exact_busy_time_flexible
+from oracles import (
+    brute_force_busy_time_interval,
+    exact_busy_time_flexible,
+    random_integral_interval_instance,
+)
 
 
 class TestIntervalExact:
@@ -65,7 +69,7 @@ class TestFlexibleExact:
     def test_never_above_interval_exact(self, rng):
         """Flexibility can only help."""
         for _ in range(5):
-            inst = random_interval_instance(5, 8.0, integral=True, rng=rng)
+            inst = random_integral_interval_instance(5, 8.0, rng=rng)
             g = int(rng.integers(1, 3))
             rigid = exact_busy_time_interval(inst, g).total_busy_time
             # widen every window by 2 slots

@@ -1,5 +1,7 @@
 """Tests for the flexible-job pipeline (Section 4.3, Theorems 5 and 10)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.busytime import (
@@ -49,15 +51,25 @@ class TestPipeline:
         s = schedule_flexible(Instance(tuple()), 2)
         assert s.total_busy_time == 0.0
 
-    def test_interval_instance_passthrough(self, rng):
-        from repro.busytime import greedy_tracking
-
-        inst = random_interval_instance(8, 14.0, rng=rng)
-        via_pipeline = schedule_flexible(inst, 2)
-        direct = greedy_tracking(inst, 2)
-        assert via_pipeline.total_busy_time == pytest.approx(
-            direct.total_busy_time
-        )
+    @pytest.mark.parametrize("name", sorted(INTERVAL_ALGORITHMS))
+    def test_interval_instance_passthrough(self, name, rng):
+        """Interval jobs have one start each, so the packer sees the input
+        itself: the same bundles, every job at its release, and a schedule
+        that verifies against the input, whatever the job ids."""
+        for _ in range(3):
+            drawn = random_interval_instance(10, 16.0, rng=rng)
+            ids = rng.choice(1000, size=drawn.n, replace=False)
+            inst = Instance(
+                tuple(replace(j, id=int(k)) for j, k in zip(drawn.jobs, ids))
+            )
+            g = int(rng.integers(1, 4))
+            s = schedule_flexible(inst, g, algorithm=name)
+            s.verify()
+            assert s.instance is inst
+            assert s.starts == {j.id: j.release for j in inst.jobs}
+            assert [b.job_ids() for b in s.bundles] == [
+                b.job_ids() for b in INTERVAL_ALGORITHMS[name](inst, g).bundles
+            ]
 
 
 class TestGuarantees:

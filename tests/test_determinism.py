@@ -76,8 +76,8 @@ def feasible_active_instance(rng, n=10, t=12, g=2):
 class TestActiveTimeDeterminism:
     def test_minimal_feasible_fixed_order(self, rng):
         inst = feasible_active_instance(rng)
-        a = minimal_feasible_schedule(inst, 2, order="left")
-        b = minimal_feasible_schedule(inst, 2, order="left")
+        a = minimal_feasible_schedule(inst, 2)
+        b = minimal_feasible_schedule(inst, 2)
         assert a.active_slots == b.active_slots
 
     def test_rounding_deterministic(self, rng):

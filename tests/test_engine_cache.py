@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from repro.core import Instance, Job
 from repro.engine import ResultCache, instance_digest, task_digest
+from repro.engine import cache as cache_module
 from repro.engine.cache import canonical_task
 
 _SCALARS = st.one_of(
@@ -113,17 +114,18 @@ class TestDigests:
 
 class TestMemoryLayer:
     def test_hit_miss_counters(self):
-        cache = ResultCache(maxsize=4)
+        cache = ResultCache()
         assert cache.get("k") is None
         cache.put("k", {"objective": 1.0})
         assert cache.get("k") == {"objective": 1.0}
         assert cache.stats == {
-            "hits": 1, "misses": 1, "size": 1, "evictions": 0,
+            "hits": 1, "misses": 1, "size": 1,
             "evictions_disk": 0, "evictions_memory": 0,
         }
 
-    def test_lru_eviction(self):
-        cache = ResultCache(maxsize=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_MAXSIZE", 2)
+        cache = ResultCache()
         cache.put("a", {"v": 1})
         cache.put("b", {"v": 2})
         assert cache.get("a") is not None  # refresh a; b is now LRU
@@ -167,10 +169,6 @@ class TestMemoryLayer:
         record = cache.get("k")
         record["v"] = 99
         assert cache.get("k")["v"] == 1
-
-    def test_rejects_nonpositive_maxsize(self):
-        with pytest.raises(ValueError):
-            ResultCache(maxsize=0)
 
 
 class TestDiskLayer:
@@ -337,8 +335,9 @@ class TestEvictionCounters:
     """Satellite: `stats` distinguishes memory/disk evictions under
     forced pressure."""
 
-    def test_memory_eviction_counter(self):
-        cache = ResultCache(maxsize=2)
+    def test_memory_eviction_counter(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_MAXSIZE", 2)
+        cache = ResultCache()
         for i in range(5):
             cache.put(f"key-{i}", {"objective": float(i)})
         stats = cache.stats
@@ -353,11 +352,10 @@ class TestEvictionCounters:
         stats = cache.stats
         assert stats["evictions_disk"] > 0
         assert stats["evictions_disk"] == cache.evictions
-        # legacy alias keeps old readers working
-        assert stats["evictions"] == stats["evictions_disk"]
 
-    def test_counters_survive_clear(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, maxsize=1)
+    def test_counters_survive_clear(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "_MAXSIZE", 1)
+        cache = ResultCache(directory=tmp_path)
         cache.put("a", {"objective": 1.0})
         cache.put("b", {"objective": 2.0})
         assert cache.evictions_memory == 1

@@ -126,10 +126,11 @@ class TestWarmUp:
         finally:
             runner.close()
 
-    def test_warm_up_partial_count(self):
+    def test_warm_up_tops_up_the_pool(self):
         runner = BatchRunner(jobs=3)
         try:
-            assert runner.warm_up(1) == 1
+            # one deadlined task leases one worker, which stays pooled
+            runner.run(_tasks(_instances(1), timeout=30.0))
             assert runner._wd_total == 1
             # topping up spawns only the remainder
             assert runner.warm_up() == 2

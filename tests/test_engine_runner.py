@@ -22,6 +22,7 @@ from repro.engine import (
     aggregate,
     aggregate_table,
 )
+from repro.engine import runner as runner_module
 from repro.engine.dispatch import reanchor
 
 
@@ -166,10 +167,6 @@ class TestBatchRunner:
         with pytest.raises(ValueError):
             BatchRunner(jobs=0)
 
-    def test_rejects_negative_grace(self):
-        with pytest.raises(ValueError):
-            BatchRunner(jobs=2, watchdog_grace=-1.0)
-
 
 class TestExecuteLengthInvariant:
     """The stream must carry exactly one result per pending task.
@@ -305,7 +302,7 @@ class TestWatchdog:
         REGISTRY._specs.pop(("active", name), None)
 
     def test_stuck_worker_is_killed_and_replaced(
-        self, stuck_solver, small_instances
+        self, stuck_solver, small_instances, monkeypatch
     ):
         # Tasks 0 and 2 wedge their workers; task 1 must still succeed
         # and the batch must finish in ~timeout, not ~60s.
@@ -320,7 +317,8 @@ class TestWatchdog:
             )
             for i, inst in enumerate(small_instances)
         ]
-        with BatchRunner(jobs=2, watchdog_grace=0.2) as runner:
+        monkeypatch.setattr(runner_module, "_WATCHDOG_GRACE", 0.2)
+        with BatchRunner(jobs=2) as runner:
             start = time.perf_counter()
             stream = runner.run_stream(tasks)
             results = list(stream)
@@ -332,7 +330,7 @@ class TestWatchdog:
         assert elapsed < 15.0
 
     def test_timeouts_from_watchdog_are_not_cached(
-        self, stuck_solver, small_instances, tmp_path
+        self, stuck_solver, small_instances, tmp_path, monkeypatch
     ):
         cache = ResultCache(directory=tmp_path)
         tasks = [
@@ -346,12 +344,13 @@ class TestWatchdog:
             )
             for i, inst in enumerate(small_instances[:2])
         ]
-        with BatchRunner(jobs=2, cache=cache, watchdog_grace=0.1) as runner:
+        monkeypatch.setattr(runner_module, "_WATCHDOG_GRACE", 0.1)
+        with BatchRunner(jobs=2, cache=cache) as runner:
             runner.run(tasks)
         assert cache.disk_usage() == (0, 0)
 
     def test_failed_duplicate_retry_keeps_watchdog(
-        self, stuck_solver, small_instances
+        self, stuck_solver, small_instances, monkeypatch
     ):
         # Both tasks share a digest; the dup retry of the failed first
         # occurrence must also run under the watchdog, not inline in
@@ -362,7 +361,8 @@ class TestWatchdog:
                       g=2, instance=inst, timeout=0.3)
             for i in range(2)
         ]
-        with BatchRunner(jobs=2, watchdog_grace=0.2) as runner:
+        monkeypatch.setattr(runner_module, "_WATCHDOG_GRACE", 0.2)
+        with BatchRunner(jobs=2) as runner:
             start = time.perf_counter()
             results = runner.run(tasks)
             elapsed = time.perf_counter() - start
@@ -516,12 +516,12 @@ class TestResultsStore:
             r.to_record() for r in results
         ]
 
-    def test_append_mode(self, small_instances, tmp_path):
+    def test_rewrite_replaces_the_file(self, small_instances, tmp_path):
         results = BatchRunner(jobs=1).run(_tasks(small_instances[:1]))
         path = tmp_path / "r.jsonl"
         write_results(results, path)
-        write_results(results, path, append=True)
-        assert len(path.read_text().splitlines()) == 2
+        write_results(results, path)
+        assert len(path.read_text().splitlines()) == 1
 
     def test_aggregate_counts_errors_and_hits(self, small_instances):
         ok = BatchRunner(jobs=1).run(_tasks(small_instances))
@@ -606,9 +606,9 @@ class TestStructureAffinity:
         dispatched = []
         dispatch = _WatchdogWorker.dispatch
 
-        def recording(worker, pos, task, grace):
+        def recording(worker, pos, task):
             dispatched.append(pos)
-            dispatch(worker, pos, task, grace)
+            dispatch(worker, pos, task)
 
         monkeypatch.setattr(_WatchdogWorker, "dispatch", recording)
         with BatchRunner(jobs=2) as runner:

@@ -16,6 +16,7 @@ from repro.core import Instance
 from repro.engine import SweepGrid, build_sweep_tasks
 from repro.engine.workers import TaskResult, make_task
 from repro.fabric import RemoteDispatcher, normalize_hosts, task_payload
+from repro.fabric import dispatcher as dispatcher_module
 from repro.serve.client import ServeClientError
 from repro.serve.server import parse_task_request
 
@@ -90,10 +91,15 @@ class FakeClient:
         pass
 
 
+@pytest.fixture(autouse=True)
+def fast_probes(monkeypatch):
+    """Test-friendly re-probe timing for every dispatcher here."""
+    monkeypatch.setattr(dispatcher_module, "_PROBE_BASE", 0.01)
+    monkeypatch.setattr(dispatcher_module, "_PROBE_CAP", 0.05)
+
+
 def make_dispatcher(servers, **kwargs):
-    """Dispatcher over ``{url: FakeServer}`` with test-friendly timing."""
-    kwargs.setdefault("probe_base", 0.01)
-    kwargs.setdefault("probe_cap", 0.05)
+    """Dispatcher over ``{url: FakeServer}``."""
     return RemoteDispatcher(
         list(servers),
         client_factory=lambda url, **_: FakeClient(servers[url]),
@@ -195,7 +201,7 @@ class TestTaskPayload:
         payload = task_payload(task)
         assert payload["params"] == {"seed": 7}
         assert payload["backend"] == "reference"
-        served = parse_task_request(json.loads(json.dumps(payload)), index=4)
+        served = parse_task_request(json.loads(json.dumps(payload)))
         assert served.digest == task.digest
         assert served.params == task.params
         assert (served.timeout, served.meta) == (1.5, {"k": 4})
@@ -233,9 +239,10 @@ class TestDispatch:
         assert stats.hosts["hosta:8977"].window == 3
         assert stats.hosts["hostb:8977"].window == 1
 
-    def test_window_clamped_to_max_window(self):
+    def test_window_clamped_to_max_window(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "_MAX_WINDOW", 4)
         servers = {URL_A: FakeServer(jobs=64)}
-        dispatcher = make_dispatcher(servers, max_window=4)
+        dispatcher = make_dispatcher(servers)
         dispatcher.run(make_tasks(2))
         assert dispatcher.last_stats.hosts["hosta:8977"].window == 4
 
@@ -425,22 +432,24 @@ class TestFailureHandling:
         # k=1 was dispatched once and never solved.
         assert sorted(servers[URL_A].solved) == [0, 2]
 
-    def test_attempts_exhausted_gives_up(self):
+    def test_attempts_exhausted_gives_up(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "_MAX_TASK_ATTEMPTS", 2)
         servers = {URL_A: FakeServer(jobs=1)}
         # Health always answers (the host keeps "recovering") but every
         # solve dies in transport — the per-task attempt budget must
         # end the run with failure results, not a hang.
         servers[URL_A].solve_errors = {k: [0] * 10 for k in range(3)}
-        dispatcher = make_dispatcher(servers, max_task_attempts=2)
+        dispatcher = make_dispatcher(servers)
         results = dispatcher.run(make_tasks(3))
         assert all(not r.ok for r in results)
         assert all("gave up after 2" in r.error for r in results)
         assert dispatcher.last_stats.gave_up == 3
 
-    def test_all_hosts_dark_past_grace_fails_queue(self):
+    def test_all_hosts_dark_past_grace_fails_queue(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "_ALL_DOWN_GRACE", 0.3)
         servers = {URL_A: FakeServer()}
         servers[URL_A].down = True
-        dispatcher = make_dispatcher(servers, all_down_grace=0.3)
+        dispatcher = make_dispatcher(servers)
         start = time.perf_counter()
         results = dispatcher.run(make_tasks(4))
         elapsed = time.perf_counter() - start
@@ -465,10 +474,6 @@ class TestValidation:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             RemoteDispatcher("h:1", window=0)
-
-    def test_bad_attempts_rejected(self):
-        with pytest.raises(ValueError, match="max_task_attempts"):
-            RemoteDispatcher("h:1", max_task_attempts=0)
 
 
 class TestObservability:

@@ -21,6 +21,7 @@ import pytest
 from repro.core import Instance
 from repro.engine.workers import make_task
 from repro.fabric import RemoteDispatcher
+from repro.fabric import dispatcher as dispatcher_module
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -109,15 +110,12 @@ def _slow_tasks(count):
 
 
 class TestHostLossRecovery:
-    def test_sigkill_one_of_two_hosts_mid_sweep(self, two_servers):
+    def test_sigkill_one_of_two_hosts_mid_sweep(self, two_servers, monkeypatch):
         (p1, url1), (p2, url2) = two_servers
         tasks = _slow_tasks(20)
-        dispatcher = RemoteDispatcher(
-            [url1, url2],
-            probe_base=0.05,
-            probe_cap=0.25,
-            http_timeout=30.0,
-        )
+        monkeypatch.setattr(dispatcher_module, "_PROBE_BASE", 0.05)
+        monkeypatch.setattr(dispatcher_module, "_PROBE_CAP", 0.25)
+        dispatcher = RemoteDispatcher([url1, url2], http_timeout=30.0)
         stream = dispatcher.run_stream(tasks)
         results = []
         for result in stream:

@@ -61,14 +61,18 @@ class TestFigure3:
         gad = figure3(g)
         assert exact_active_time(gad.instance, g).cost == g
 
-    @pytest.mark.parametrize("g", [3, 4, 5])
+    @pytest.mark.parametrize("g", range(3, 13))
     def test_adversarial_slots(self, g):
-        from repro.flow import is_feasible_slot_set
+        from repro.flow import ActiveTimeFeasibility
 
         gad = figure3(g)
         slots = gad.witness["adversarial_slots"]
         assert len(slots) == 3 * g - 2
-        assert is_feasible_slot_set(gad.instance, g, slots)
+        oracle = ActiveTimeFeasibility(gad.instance, g)
+        assert oracle.is_feasible(slots)
+        # minimal (Definition 4): closing any one slot breaks feasibility
+        for t in slots:
+            assert not oracle.is_feasible(set(slots) - {t}), t
 
     def test_requires_g_at_least_3(self):
         with pytest.raises(ValueError):

@@ -48,21 +48,19 @@ class TestShapes:
         assert inst.earliest_release >= 0
 
     def test_unit_instance(self, rng):
-        inst = random_unit_instance(15, 10, rng=rng)
+        inst = random_unit_instance(60, 10, rng=rng)
         assert inst.all_unit
         assert inst.is_integral
+        assert {j.window_length for j in inst.jobs} == {1, 2, 3, 4, 5}
 
     def test_interval_instance(self, rng):
         inst = random_interval_instance(15, 20.0, rng=rng)
         assert inst.all_interval
 
-    def test_interval_integral_flag(self, rng):
-        inst = random_interval_instance(10, 20.0, integral=True, rng=rng)
-        assert inst.all_interval and inst.is_integral
-
     def test_flexible_has_slack(self, rng):
-        inst = random_flexible_instance(15, 20, rng=rng)
-        assert any(not j.is_interval for j in inst.jobs)
+        inst = random_flexible_instance(80, 20, rng=rng)
+        slacks = {j.window_length - j.length for j in inst.jobs}
+        assert slacks == {1, 2, 3, 4, 5, 6}
 
     def test_proper(self, rng):
         inst = random_proper_instance(12, 20.0, rng=rng)

@@ -18,7 +18,6 @@ from repro import (
     preemptive_bounded,
     round_active_time,
     schedule_flexible,
-    solve_active_time_lp,
 )
 from repro.instances import (
     random_active_time_instance,
@@ -39,8 +38,8 @@ class TestActiveTimePipeline:
                 exact = exact_active_time(inst, g)
             except RuntimeError:
                 continue
-            lp = solve_active_time_lp(inst, g)
-            rounded = round_active_time(inst, g, lp=lp, strict=True)
+            rounded = round_active_time(inst, g, strict=True)
+            lp = rounded.lp
             minimal = minimal_feasible_schedule(inst, g)
             rounded.schedule.verify()
             minimal.verify()

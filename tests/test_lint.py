@@ -518,6 +518,31 @@ class TestCli:
         assert finding["line"] == 4
         assert payload["waived"][0]["line"] == 5
 
+    def test_repro_lint_is_the_lint_parser(self, tmp_path, capsys):
+        """``repro lint`` hands its arguments to the lint package's own
+        parser: one help text, and the same flags and exit codes."""
+        from repro.cli import main as repro_main
+
+        with pytest.raises(SystemExit):
+            repro_main(["lint", "-h"])
+        via_repro = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            lint_main(["-h"])
+        assert capsys.readouterr().out == via_repro
+        assert "--list-rules" in via_repro
+
+        _write(tmp_path, "bad.py", """\
+            import time
+
+            async def handler():
+                time.sleep(1)
+        """)
+        code = repro_main(["lint", "--json", "--root", str(tmp_path),
+                           str(tmp_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["findings"][0]["line"] == 4
+        assert repro_main(["lint", "--rules", "REP999", str(tmp_path)]) == 2
+
     def test_list_rules_documents_every_rule(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out

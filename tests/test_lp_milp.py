@@ -4,19 +4,17 @@ import pytest
 
 from repro.core import Instance
 from repro.flow import is_feasible_slot_set
-from repro.instances import (
-    figure3,
-    lp_gap,
-    random_active_time_instance,
-    random_interval_instance,
-)
+from repro.instances import figure3, lp_gap, random_active_time_instance
 from repro.lp import (
     solve_active_time_exact,
     solve_busy_time_interval_exact,
     solve_unbounded_span_exact,
 )
 
-from oracles import solve_busy_time_flexible_exact
+from oracles import (
+    random_integral_interval_instance,
+    solve_busy_time_flexible_exact,
+)
 
 
 class TestActiveTimeExact:
@@ -133,7 +131,7 @@ class TestUnboundedSpanExact:
 class TestBusyTimeFlexibleExact:
     def test_matches_interval_exact_on_interval_instance(self, rng):
         for _ in range(4):
-            inst = random_interval_instance(4, 8.0, integral=True, rng=rng)
+            inst = random_integral_interval_instance(4, 8.0, rng=rng)
             g = int(rng.integers(1, 3))
             a = solve_busy_time_interval_exact(inst, g)
             b = solve_busy_time_flexible_exact(inst, g)

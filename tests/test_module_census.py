@@ -1,10 +1,10 @@
-"""Census: every ``src/repro`` module, public symbol and import is live.
+"""Census: every ``src/repro`` module, public symbol, import and option is live.
 
 Code is live when something a user runs reaches it: a command, an
 example or a perfbench workload.  A benchmark or a test only measures
 what it imports, so code that only benchmarks and tests reach is dead
 weight; the exact oracles and proof checkers they compare against live
-in ``tests/oracles.py`` instead.  Three checks parse every ``.py`` file
+in ``tests/oracles.py`` instead.  Four checks parse every ``.py`` file
 under ``src/``, ``examples/`` and ``perfbench/`` (:data:`CONSUMER_DIRS`):
 
 * **Modules.**  Each module needs an importer.  A module does not count
@@ -29,6 +29,17 @@ under ``src/``, ``examples/`` and ``perfbench/`` (:data:`CONSUMER_DIRS`):
 * **Imports.**  Each module-level import of a non-``__init__`` module
   must be used in that module, as a name or as a whole-name string.
   Exempt: imports marked ``# noqa: F401`` (imported for a side effect).
+* **Options.**  Each parameter with a default, positional or
+  keyword-only, of a public function or method (or of a public class's
+  ``__init__``) needs a live call that sets it: a call outside the
+  function's own body whose callee is named like the function (like the
+  class, for ``__init__``) and that passes the parameter by keyword,
+  positionally at or past its position, or through ``*``/``**``.  A
+  literal equal to the default does not set it.  An option only tests
+  set is a knob nobody turns: fold it into a constant (tests monkeypatch
+  the constant) or delete the code only it reached.  Exempt: the entries
+  of :data:`ALLOWED_OPTIONS`, keyed ``module:Qual.name(param)``, each
+  with its reason.
 """
 
 import ast
@@ -69,6 +80,33 @@ ALLOWED = {
     ),
     "repro.obs.metrics:MetricsRegistry.disable": (
         "public API that README documents"
+    ),
+}
+
+#: Options kept although nothing a user runs sets them, keyed
+#: ``module:Qual.name(param)``, each with the reason it stays.
+ALLOWED_OPTIONS = {
+    "repro.fabric.dispatcher:RemoteDispatcher.__init__(client_factory)": (
+        "tests substitute fake hosts through it"
+    ),
+    "repro.serve.client:ServeClient.__init__(get_retries)": (
+        "the dispatcher passes 1 through client_factory; every other "
+        "caller keeps 3"
+    ),
+    "repro.fabric.dispatcher:RemoteDispatcher.__init__(http_timeout)": (
+        "perfbench/workloads.py passes it 300.0, the default; the "
+        "benchmark's files change only in a change of their own"
+    ),
+    "repro.activetime.rightshift:RightShiftedSolution.is_feasible_fractional(backend)": (
+        "belongs to an allow-listed certificate symbol (Lemma 3's check)"
+    ),
+    "repro.flow.feasibility:ActiveTimeFeasibility.max_flow_value(jobs)": (
+        "the warm-oracle pins compare prefix flow values with a fresh "
+        "oracle; the live prefix probe, is_feasible(jobs=), answers a bool"
+    ),
+    "repro.flow.feasibility:ActiveTimeFeasibility.assignment(jobs)": (
+        "the warm-oracle pins compare prefix assignments with a fresh "
+        "oracle; the live prefix probe, is_feasible(jobs=), answers a bool"
     ),
 }
 
@@ -322,6 +360,143 @@ def test_no_unused_module_level_imports():
 
 
 # ----------------------------------------------------------------------
+# Options
+# ----------------------------------------------------------------------
+def _public_callables(scope, prefix: str = "", cls: str | None = None):
+    """Yield ``(qualified name, callee name, node, is a method)`` per
+    public function and method, and per ``__init__`` of a public class;
+    private classes are skipped whole."""
+    for node in _statements(scope.body):
+        if isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield from _public_callables(
+                    node, prefix + node.name + ".", node.name
+                )
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if cls is not None and node.name == "__init__":
+                callee = cls
+            elif node.name.startswith("_"):
+                continue
+            else:
+                callee = node.name
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            yield prefix + node.name, callee, node, cls is not None and not static
+
+
+def _defaulted(node: ast.FunctionDef, method: bool):
+    """Yield ``(name, call position, default)`` per parameter of ``node``
+    with a default.  The position counts the call's own arguments (a
+    method's ``self`` is not one); keyword-only parameters have none."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, default in enumerate(args.defaults, start=first):
+        yield positional[index].arg, index - method, default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, default
+
+
+def _same_literal(value: ast.expr, default: ast.expr) -> bool:
+    """Whether ``value`` is a literal equal to ``default`` (same type)."""
+    try:
+        a, b = ast.literal_eval(value), ast.literal_eval(default)
+    except ValueError:  # not a literal
+        return False
+    return type(a) is type(b) and a == b
+
+
+def _sets(call: ast.Call, name: str, position: int | None, default) -> bool:
+    """Whether ``call`` passes parameter ``name`` a non-default value."""
+    for keyword in call.keywords:
+        if keyword.arg is None:  # **kwargs
+            return True
+        if keyword.arg == name:
+            return not _same_literal(keyword.value, default)
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):  # *args reaches the rest
+            return position is not None
+        if index == position:
+            return not _same_literal(arg, default)
+    return False
+
+
+def _calls(tree: ast.Module):
+    """Yield ``(callee name, call, enclosing definitions)`` per call."""
+    stack: list[ast.AST] = []
+
+    def visit(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None
+            )
+            if name:
+                yield name, node, tuple(stack)
+        opened = isinstance(node, _DEFS)
+        if opened:
+            stack.append(node)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child)
+        if opened:
+            stack.pop()
+
+    yield from visit(tree)
+
+
+def unset_options(src: Path, consumers) -> tuple[dict[str, str], int]:
+    """``module:Qual.name(param) -> file:line`` per defaulted parameter
+    of a public callable under ``src`` that no call under ``consumers``
+    sets, and the number of defaulted parameters examined."""
+    trees = {
+        path: _parse(path)
+        for folder in consumers
+        for path in sorted(Path(folder).rglob("*.py"))
+    }
+    calls: dict[str, list[tuple[ast.Call, tuple[ast.AST, ...]]]] = {}
+    for tree in trees.values():
+        for name, call, enclosing in _calls(tree):
+            calls.setdefault(name, []).append((call, enclosing))
+    unset, examined = {}, 0
+    for path, tree in trees.items():
+        module = _dotted(path, src)
+        if module is None:
+            continue
+        for qualname, callee, node, method in _public_callables(tree):
+            for name, position, default in _defaulted(node, method):
+                examined += 1
+                if not any(
+                    node not in enclosing and _sets(call, name, position, default)
+                    for call, enclosing in calls.get(callee, ())
+                ):
+                    unset[f"{module}:{qualname}({name})"] = (
+                        f"{path.relative_to(src.parent)}:{node.lineno}"
+                    )
+    return unset, examined
+
+
+def test_every_option_is_set_by_a_live_call():
+    unset, _ = unset_options(SRC, _consumers())
+    unexplained = {
+        k: v for k, v in sorted(unset.items()) if k not in ALLOWED_OPTIONS
+    }
+    assert not unexplained, (
+        "options that no command, example or perfbench workload sets "
+        "(fold each into a constant tests can monkeypatch, delete the "
+        f"code only it reaches, or allow-list it with a reason): "
+        f"{unexplained}"
+    )
+
+
+def test_option_allow_list_is_current_and_explained():
+    unset, _ = unset_options(SRC, _consumers())
+    stale = stale_allowances(ALLOWED_OPTIONS, unset)
+    assert not stale, f"option allow-list entries no longer needed: {stale}"
+    assert all(reason.strip() for reason in ALLOWED_OPTIONS.values())
+
+
+# ----------------------------------------------------------------------
 # The census on a synthetic tree
 # ----------------------------------------------------------------------
 def _tree(tmp_path: Path, files: dict[str, str]):
@@ -408,3 +583,130 @@ def test_unused_import_check(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(path) == ["os:2"]
+
+
+OPTIONS = (
+    "def solve(x, order='left', *, limit=None):\n"
+    "    return solve(x, order='right', limit=1)\n\n"
+    "class Pool:\n"
+    "    def __init__(self, jobs=1, *, grace=1.0):\n"
+    "        self.jobs = jobs\n\n"
+    "    def warm(self, count=None):\n        return count\n\n"
+    "    @staticmethod\n"
+    "    def build(size=2):\n        return size\n\n"
+    "class _Private:\n"
+    "    def __init__(self, knob=3):\n        self.knob = knob\n"
+)
+
+
+def test_options_flags_a_test_only_option(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": OPTIONS,
+        "examples/use.py": (
+            "from pkg.lib import Pool, solve\n"
+            "solve(1, 'right')\nPool(2).warm(count=5)\nPool.build(3)\n"
+        ),
+        "tests/test_lib.py": "from pkg.lib import Pool\nPool(grace=0.1)\n",
+    })
+    unset, examined = unset_options(src, consumers)
+    # a test setting ``grace`` does not count; private classes are skipped
+    assert set(unset) == {"pkg.lib:solve(limit)", "pkg.lib:Pool.__init__(grace)"}
+    assert unset["pkg.lib:solve(limit)"] == "src/pkg/lib.py:1"
+    assert examined == 6
+
+
+def test_options_ignore_own_body_and_default_literals(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": OPTIONS,
+        "examples/use.py": (
+            "from pkg.lib import Pool, solve\n"
+            "solve(1, order='left', limit=None)\n"
+            "Pool(1, grace=1.0).warm(None)\nPool.build(size=2)\n"
+        ),
+    })
+    # solve's recursive call sets both, but inside its own body
+    assert set(unset_options(src, consumers)[0]) == {
+        "pkg.lib:solve(order)", "pkg.lib:solve(limit)",
+        "pkg.lib:Pool.__init__(jobs)", "pkg.lib:Pool.__init__(grace)",
+        "pkg.lib:Pool.warm(count)", "pkg.lib:Pool.build(size)",
+    }
+
+
+def test_options_credit_star_args_and_kwargs(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": OPTIONS,
+        "perfbench/use.py": (
+            "from pkg.lib import Pool, solve\n"
+            "solve(*argv)\nPool(**settings).warm(*rest)\n"
+            "Pool.build(*more)\n"
+        ),
+    })
+    # ``*`` reaches positional parameters only; ``**`` reaches every one
+    assert set(unset_options(src, consumers)[0]) == {"pkg.lib:solve(limit)"}
+
+
+def test_stale_option_allow_list_entries_fail(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": OPTIONS,
+        "examples/use.py": "from pkg.lib import solve\nsolve(1, limit=2)\n",
+    })
+    unset, _ = unset_options(src, consumers)
+    allowed = {"pkg.lib:solve(order)": "kept"}
+    assert stale_allowances(allowed, unset) == []
+    # set by a live call now, or gone from the tree
+    allowed["pkg.lib:solve(limit)"] = allowed["pkg.lib:gone(x)"] = "kept"
+    assert stale_allowances(allowed, unset) == [
+        "pkg.lib:gone(x)", "pkg.lib:solve(limit)",
+    ]
+
+
+def test_options_count_method_positions_past_self(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": OPTIONS,
+        "examples/use.py": (
+            "from pkg.lib import Pool, solve\n"
+            "Pool(2, grace=0.5).warm(7)\nsolve(1)\nPool.build(4)\n"
+        ),
+    })
+    # ``warm(7)`` sets ``count``, since ``self`` is not a call argument;
+    # ``solve(1)`` stops short of ``order``
+    assert set(unset_options(src, consumers)[0]) == {
+        "pkg.lib:solve(order)", "pkg.lib:solve(limit)",
+    }
+
+
+def test_options_follow_attribute_calls_and_async_defs(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/lib.py": OPTIONS,
+        "src/pkg/net.py": (
+            "async def fetch(url, retries=3):\n    return url\n\n"
+            "async def poll(delay=1.0):\n    return delay\n\n"
+            "def helper():\n    return fetch('x', retries=5)\n"
+        ),
+        "examples/use.py": (
+            "import pkg.lib as lib\nlib.solve(1, 'right', limit=2)\n"
+        ),
+    })
+    unset, examined = unset_options(src, consumers)
+    assert set(unset) == {
+        "pkg.lib:Pool.__init__(jobs)", "pkg.lib:Pool.__init__(grace)",
+        "pkg.lib:Pool.warm(count)", "pkg.lib:Pool.build(size)",
+        "pkg.net:poll(delay)",
+    }
+    assert examined == 8
+
+
+def test_options_ignore_calls_nested_in_the_own_body(tmp_path):
+    src, consumers = _tree(tmp_path, {
+        "src/pkg/tree.py": (
+            "def walk(node, depth=0):\n"
+            "    def visit(child):\n"
+            "        return walk(child, depth + 1)\n"
+            "    return [visit(c) for c in node]\n"
+        ),
+        "examples/use.py": "from pkg.tree import walk\nwalk([])\n",
+    })
+    assert unset_options(src, consumers)[0] == {
+        "pkg.tree:walk(depth)": "src/pkg/tree.py:1",
+    }
+

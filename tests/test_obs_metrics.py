@@ -16,6 +16,7 @@ from repro.obs import (
     trace_labels,
     trace_spans,
 )
+from repro.obs.metrics import BUCKETS
 from repro.obs.prom import CONTENT_TYPE
 
 
@@ -62,52 +63,57 @@ class TestGauge:
         g = reg.gauge("depth", "help")
         g.set(5)
         g.inc(2)
-        g.dec(3)
-        assert g.value == 4
+        g.dec()
+        assert g.value == 6
 
 
 class TestHistogram:
+    def test_buckets_strictly_increasing(self):
+        """``observe`` bisects the edges, so they must be sorted, distinct,
+        positive and finite (the slot past the last edge is ``+Inf``)."""
+        assert list(BUCKETS) == sorted(set(BUCKETS))
+        assert BUCKETS[0] > 0 and math.isfinite(BUCKETS[-1])
+
     def test_bucket_counts_and_sum(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "help", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 5.0, 50.0):
+        h = reg.histogram("lat", "help")
+        for v in (0.04, 0.4, 4.0, 400.0):
             h.observe(v)
         counts, total, count = h._solo().snapshot()
-        assert counts == [1, 1, 1, 1]  # one per bucket + overflow
+        # one per bucket, the last in the overflow slot past every edge
+        slots = [BUCKETS.index(edge) for edge in (0.05, 0.5, 5.0)]
+        assert [i for i, n in enumerate(counts) if n] == slots + [
+            len(BUCKETS)
+        ]
         assert count == 4
-        assert total == pytest.approx(55.55)
+        assert total == pytest.approx(404.44)
 
     def test_boundary_value_lands_in_its_bucket(self):
         # Prometheus buckets are `le` (less-or-equal): an observation
         # exactly on an edge belongs to that edge's bucket.
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "help", buckets=(1.0, 2.0))
+        h = reg.histogram("lat", "help")
         h.observe(1.0)
         counts, _, _ = h._solo().snapshot()
-        assert counts == [1, 0, 0]
+        assert counts[BUCKETS.index(1.0)] == sum(counts) == 1
 
     def test_quantile_and_summary(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", "help", buckets=(0.1, 1.0, 10.0))
+        h = reg.histogram("lat", "help")
         for _ in range(99):
-            h.observe(0.05)
-        h.observe(5.0)
-        assert h.quantile(0.5) == 0.1
-        assert h.quantile(1.0) == 10.0
+            h.observe(0.04)
+        h.observe(4.0)
+        assert h.quantile(0.5) == 0.05
+        assert h.quantile(1.0) == 5.0
         summary = h.summary()
         assert summary["count"] == 100
-        assert summary["p50"] == 0.1
-        assert summary["p99"] == 0.1
+        assert summary["p50"] == 0.05
+        assert summary["p99"] == 0.05
 
     def test_empty_quantile_is_nan(self):
         reg = MetricsRegistry()
         h = reg.histogram("lat", "help")
         assert math.isnan(h.quantile(0.5))
-
-    def test_unsorted_buckets_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("lat", "help", buckets=(1.0, 0.5))
 
 
 class TestRegistry:
@@ -154,7 +160,9 @@ class TestRegistry:
         reg = MetricsRegistry()
         assert reg.value("missing") == 0.0
         reg.counter("x_total", "help", ("k",)).labels(k="a").inc()
-        assert reg.value("x_total", {"k": "a"}) == 1.0
+        assert reg.value("x_total") == 0.0  # labeled: no unlabeled series
+        reg.counter("y_total", "help").inc()
+        assert reg.value("y_total") == 1.0
 
     def test_concurrent_increments_are_lossless(self):
         reg = MetricsRegistry()
@@ -192,14 +200,15 @@ class TestPrometheusRendering:
 
     def test_histogram_buckets_are_cumulative_and_end_at_inf(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat_seconds", "h", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
+        h = reg.histogram("lat_seconds", "h")
+        for v in (0.05, 0.5, 500.0):
             h.observe(v)
         text = render_prometheus(reg)
-        assert 'lat_seconds_bucket{le="0.1"} 1' in text
+        assert 'lat_seconds_bucket{le="0.05"} 1' in text
         assert 'lat_seconds_bucket{le="1"} 2' in text
+        assert 'lat_seconds_bucket{le="60"} 2' in text
         assert 'lat_seconds_bucket{le="+Inf"} 3' in text
-        assert "lat_seconds_sum 5.55" in text
+        assert "lat_seconds_sum 500.55" in text
         assert "lat_seconds_count 3" in text
 
     def test_content_type_advertises_format_004(self):

@@ -440,6 +440,13 @@ class TestHTTPPlumbing:
             client._get_json("/solve")
         assert err.value.status == 404
 
+    def test_liveness_answers_on_healthz_only(self, client):
+        assert client._get_json("/healthz")["ok"] is True
+        with pytest.raises(ServeClientError) as err:
+            client._get_json("/health")
+        assert err.value.status == 404
+        assert "GET /healthz" in str(err.value)
+
     def test_missing_content_length_is_411(self, server):
         host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=30)
@@ -677,13 +684,8 @@ class TestParseTaskRequest:
         request = task_request(inst, "active", 2, timeout=2.0)
         mutate(request)
         with pytest.raises(RequestError) as err:
-            parse_task_request(request, index=5)
+            parse_task_request(request)
         assert fragment in str(err.value)
-        assert "task 5" in str(err.value)
-
-    def test_batch_index_becomes_task_index(self, inst):
-        task = parse_task_request(task_request(inst, "active", 2), index=7)
-        assert task.index == 7
 
 
 @st.composite
@@ -939,12 +941,12 @@ class TestClientGetRetries:
         monkeypatch.setattr(
             "repro.serve.client.time.sleep", sleeps.append
         )
+        monkeypatch.setattr("repro.serve.client._BACKOFF_BASE", 0.2)
+        monkeypatch.setattr("repro.serve.client._BACKOFF_CAP", 10.0)
         client = ServeClient(
             f"http://127.0.0.1:{self._dead_port()}",
             http_timeout=2.0,
             get_retries=3,
-            backoff_base=0.2,
-            backoff_cap=10.0,
         )
         with pytest.raises(ServeClientError) as err:
             client.health()
@@ -960,12 +962,12 @@ class TestClientGetRetries:
         monkeypatch.setattr(
             "repro.serve.client.time.sleep", sleeps.append
         )
+        monkeypatch.setattr("repro.serve.client._BACKOFF_BASE", 1.0)
+        monkeypatch.setattr("repro.serve.client._BACKOFF_CAP", 1.5)
         client = ServeClient(
             f"http://127.0.0.1:{self._dead_port()}",
             http_timeout=2.0,
             get_retries=4,
-            backoff_base=1.0,
-            backoff_cap=1.5,
         )
         with pytest.raises(ServeClientError):
             client.algos()

@@ -5,7 +5,8 @@ asyncio server); this file covers what the rewrite *added*: the bounded
 ``/batch`` backpressure buffer, the configurable write-stall disconnect,
 urgent ``/solve`` priority leases, connection accounting
 (``/healthz`` ``connections``, ``--max-connections`` 503s), keep-alive
-at soak scale, and the new ``repro serve`` CLI flags.
+at soak scale, the keep-alive and request-head deadlines, and the new
+``repro serve`` CLI flags.
 """
 
 import asyncio
@@ -25,6 +26,7 @@ from repro.engine import REGISTRY
 from repro.engine.registry import SolveOutcome, SolverSpec
 from repro.obs import REGISTRY as OBS
 from repro.serve import ServeClient, create_server, task_request
+from repro.serve import server as server_module
 from repro.serve.server import _BatchBridge
 
 _FORK_ONLY = pytest.mark.skipif(
@@ -224,8 +226,8 @@ class TestBatchBridge:
 
 
 class TestBackpressureCap:
-    def test_stalled_reader_bounds_buffered_results(self):
-        """A reader that stops consuming pins at most ``batch_buffer``
+    def test_stalled_reader_bounds_buffered_results(self, monkeypatch):
+        """A reader that stops consuming pins at most ``_BATCH_BUFFER``
         engine results (plus transport slack) while other connections'
         requests keep flowing — then drains to a complete, ordered
         stream once it resumes."""
@@ -235,7 +237,8 @@ class TestBackpressureCap:
         # on Linux; result lines must overflow that for the stall to
         # surface, so make each ~400 KB (16 MB of results overall)
         blob = "x" * 400_000
-        with _server(jobs=1, batch_buffer=cap) as srv:
+        monkeypatch.setattr(server_module, "_BATCH_BUFFER", cap)
+        with _server(jobs=1) as srv:
             base = _get_json(srv, "/stats")[1]
             requests = [
                 task_request(
@@ -309,16 +312,15 @@ class TestBackpressureCap:
 
 
 class TestWriteStallTimeout:
-    def test_stalled_reader_is_disconnected_after_budget(self):
+    def test_stalled_reader_is_disconnected_after_budget(self, monkeypatch):
         """``write_stall_timeout`` bounds how long a /batch write may sit
         in ``drain()``; past it the connection is dropped and the server
         keeps serving everyone else."""
         # must overflow the ~4 MiB the kernel will buffer for the
         # server's send side before drain() can block at all
         blob = "y" * 400_000
-        with _server(
-            jobs=1, batch_buffer=2, write_stall_timeout=1.0
-        ) as srv:
+        monkeypatch.setattr(server_module, "_BATCH_BUFFER", 2)
+        with _server(jobs=1, write_stall_timeout=1.0) as srv:
             requests = [
                 task_request(inst, "active", 2, algorithm="minimal",
                              meta={"blob": blob})
@@ -595,6 +597,47 @@ class TestKeepAliveSoak:
                 lambda: _get_json(srv, "/healthz")[1]["connections"] <= 2,
                 timeout=15.0,
             ), "connection accounting never drained after the soak"
+
+
+class TestRequestDeadlines:
+    def test_idle_keepalive_connection_is_dropped(self, monkeypatch):
+        """A connection that sends no request line within
+        ``_KEEPALIVE_SECONDS`` is closed; one that keeps asking stays."""
+        monkeypatch.setattr(server_module, "_KEEPALIVE_SECONDS", 1.0)
+        with _server(jobs=1) as srv:
+            host, port = srv.server_address[:2]
+            idle = http.client.HTTPConnection(host, port, timeout=10)
+            busy = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                for conn in (idle, busy):
+                    conn.request("GET", "/healthz")
+                    assert conn.getresponse().read()
+                kept = busy.sock
+                deadline = time.monotonic() + 2.0
+                while time.monotonic() < deadline:
+                    time.sleep(0.1)
+                    busy.request("GET", "/healthz")
+                    assert busy.getresponse().read()
+                assert busy.sock is kept  # never reconnected
+                assert idle.sock.recv(1) == b""  # the server hung up
+            finally:
+                idle.close()
+                busy.close()
+
+    def test_trickled_request_head_is_dropped(self, monkeypatch):
+        """Once a request line arrives, the rest of the head must follow
+        within ``_HEADER_SECONDS``; a stalled head gets no answer, its
+        connection is closed, and the server serves others."""
+        monkeypatch.setattr(server_module, "_HEADER_SECONDS", 0.3)
+        with _server(jobs=1) as srv:
+            host, port = srv.server_address[:2]
+            sock = socket.create_connection((host, port), timeout=10)
+            try:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n")
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
+            assert _get_json(srv, "/healthz")[0] == 200
 
 
 class TestServeCliFlags:

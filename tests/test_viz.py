@@ -9,6 +9,7 @@ from repro import (
     greedy_tracking,
 )
 from repro.viz import (
+    WIDTH,
     render_active_schedule,
     render_busy_schedule,
     render_demand_profile,
@@ -31,9 +32,9 @@ class TestRenderInstance:
         assert "empty" in render_instance(Instance(tuple()))
 
     def test_width_respected(self, interval_instance):
-        out = render_instance(interval_instance, width=30)
+        out = render_instance(interval_instance)
         for line in out.splitlines()[1:]:
-            assert len(line) <= 30 + 10  # label + bars
+            assert len(line.split("|")[1]) == WIDTH  # label |bars|
 
 
 class TestRenderActive:
@@ -74,6 +75,15 @@ class TestRenderBusy:
         s = greedy_tracking(interval_instance, 2)
         assert "^" in render_busy_schedule(s)
 
+    def test_width_respected(self, interval_instance):
+        s = greedy_tracking(interval_instance, 2)
+        out = render_busy_schedule(s)
+        bars = [line for line in out.splitlines() if "|" in line]
+        # a row per job and a busy row per machine
+        assert len(bars) == interval_instance.n + s.num_machines
+        for line in bars:
+            assert len(line.split("|")[1]) == WIDTH
+
     def test_empty(self):
         from repro.busytime import BusyTimeSchedule
 
@@ -91,6 +101,13 @@ class TestRenderProfile:
     def test_cost_shown(self, interval_instance):
         profile = compute_demand_profile(interval_instance, 2)
         assert f"cost={profile.cost:g}" in render_demand_profile(profile)
+
+    def test_width_respected(self, interval_instance):
+        profile = compute_demand_profile(interval_instance, 2)
+        rows = render_demand_profile(profile).splitlines()[1:]
+        assert len(rows) == profile.max_demand
+        for line in rows:
+            assert len(line.split("|")[1]) == WIDTH
 
     def test_empty(self):
         from repro.busytime import DemandProfile
